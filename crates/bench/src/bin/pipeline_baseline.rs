@@ -23,7 +23,8 @@
 //! See `crates/bench/README.md` for the output schema. In `--check`
 //! mode the corpus size is read from the committed file, the pipeline
 //! re-runs, and the process exits non-zero if any deterministic count
-//! (candidates, edges, partitions, mappings) drifted, or if the memo's
+//! (candidates, edges, partitions, mappings, and the coherence funnel's
+//! sketch rejects, list probes and memo pairs) drifted, or if the memo's
 //! filter counters (`memo_candidate_pairs`, `memo_dp_calls`) **exceed**
 //! their committed ceilings (a silent prefilter regression) — timings
 //! are machine-dependent and informational only. In `--tables N` mode
@@ -870,6 +871,8 @@ fn check_against(path: &str) -> ! {
         .apply_delta(&wc.corpus, &delta)
         .expect("valid delta");
     let run = session.synthesize(&session.config().synthesis.clone(), Resolver::Algorithm4);
+    // Cumulative over the batch build and the delta, as committed.
+    let funnel = session.extraction().expect("prepared session").funnel;
 
     let expectations = [
         ("candidates", output.candidates as i64),
@@ -880,6 +883,11 @@ fn check_against(path: &str) -> ! {
         ("delta_edges", run.edges as i64),
         ("delta_partitions", run.partitions as i64),
         ("delta_mappings", run.mappings.len() as i64),
+        // The coherence funnel is deterministic for any worker count,
+        // so a sketch or memo regression shows as exact drift.
+        ("coh_sketch_rejects", funnel.sketch_rejects as i64),
+        ("coh_list_probes", funnel.list_probes as i64),
+        ("coh_memo_pairs", funnel.memo_pairs as i64),
     ];
     let mut drifted = false;
     for (key, actual) in expectations {
@@ -892,7 +900,7 @@ fn check_against(path: &str) -> ! {
                 drifted = true;
             }
             None => {
-                eprintln!("check {key}: missing from baseline (DRIFT)");
+                eprintln!("check {key}: missing from baseline, got {actual} (DRIFT)");
                 drifted = true;
             }
         }
@@ -965,6 +973,9 @@ struct ScalePoint {
     /// count is the expensive tail the sketch exists to shrink.
     coh_sketch_rejects: u64,
     coh_list_probes: u64,
+    /// Distinct value pairs the pass-scoped co-occurrence memo
+    /// intersected — the rest of the memo tier's probes were repeats.
+    coh_memo_pairs: u64,
     extraction_ms: f64,
     value_space_ms: f64,
     blocking_ms: f64,
@@ -1036,6 +1047,7 @@ fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
         memo: scores.detail.memo,
         coh_sketch_rejects: extraction.funnel.sketch_rejects,
         coh_list_probes: extraction.funnel.list_probes,
+        coh_memo_pairs: extraction.funnel.memo_pairs,
         extraction_ms: ms(extraction.elapsed),
         value_space_ms: ms(values.elapsed),
         blocking_ms: ms(scores.detail.blocking),
@@ -1052,8 +1064,8 @@ fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
     };
     eprintln!(
         "scale {} tables{}: {} blocked pairs, {} memo candidate pairs, {} dp calls, \
-         {} sketch rejects / {} list probes, extraction {:.1}ms, blocking {:.1}ms, \
-         peak rss {:.1}MB",
+         {} sketch rejects / {} list probes / {} memo pairs, extraction {:.1}ms, \
+         blocking {:.1}ms, peak rss {:.1}MB",
         tables,
         if spill { " (spill)" } else { "" },
         point.blocking_pairs,
@@ -1061,6 +1073,7 @@ fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
         point.memo.dp_calls,
         point.coh_sketch_rejects,
         point.coh_list_probes,
+        point.coh_memo_pairs,
         point.extraction_ms,
         point.blocking_ms,
         point.vmhwm_peak_mb
@@ -1073,7 +1086,7 @@ fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
 /// scopes its text scan from that key to the object's closing brace.
 fn render_point(p: &ScalePoint) -> String {
     format!(
-        "      {{\n        \"tables\": {},\n        \"candidates\": {},\n        \"edges\": {},\n        \"mappings\": {},\n        \"blocking_pairs\": {},\n        \"memo_values\": {},\n        \"memo_candidate_pairs\": {},\n        \"memo_sig_mask_rejects\": {},\n        \"memo_sig_hist_rejects\": {},\n        \"memo_dp_calls\": {},\n        \"memo_matched_pairs\": {},\n        \"coh_sketch_rejects\": {},\n        \"coh_list_probes\": {},\n        \"extraction_ms\": {:.3},\n        \"value_space_ms\": {:.3},\n        \"blocking_ms\": {:.3},\n        \"scoring_ms\": {:.3},\n        \"approx_memo_ms\": {:.3},\n        \"graph_ms\": {:.3},\n        \"total_ms\": {:.3},\n        \"vmhwm_start_mb\": {:.1},\n        \"vmhwm_extraction_mb\": {:.1},\n        \"vmhwm_value_space_mb\": {:.1},\n        \"vmhwm_scoring_mb\": {:.1},\n        \"vmhwm_peak_mb\": {:.1},\n        \"vmrss_end_mb\": {:.1},\n        \"ceil_extraction_ms\": {:.0},\n        \"ceil_blocking_ms\": {:.0},\n        \"ceil_blocking_pairs\": {},\n        \"ceil_memo_candidate_pairs\": {},\n        \"ceil_memo_dp_calls\": {},\n        \"ceil_coh_list_probes\": {}\n      }}",
+        "      {{\n        \"tables\": {},\n        \"candidates\": {},\n        \"edges\": {},\n        \"mappings\": {},\n        \"blocking_pairs\": {},\n        \"memo_values\": {},\n        \"memo_candidate_pairs\": {},\n        \"memo_sig_mask_rejects\": {},\n        \"memo_sig_hist_rejects\": {},\n        \"memo_dp_calls\": {},\n        \"memo_matched_pairs\": {},\n        \"coh_sketch_rejects\": {},\n        \"coh_list_probes\": {},\n        \"coh_memo_pairs\": {},\n        \"extraction_ms\": {:.3},\n        \"value_space_ms\": {:.3},\n        \"blocking_ms\": {:.3},\n        \"scoring_ms\": {:.3},\n        \"approx_memo_ms\": {:.3},\n        \"graph_ms\": {:.3},\n        \"total_ms\": {:.3},\n        \"vmhwm_start_mb\": {:.1},\n        \"vmhwm_extraction_mb\": {:.1},\n        \"vmhwm_value_space_mb\": {:.1},\n        \"vmhwm_scoring_mb\": {:.1},\n        \"vmhwm_peak_mb\": {:.1},\n        \"vmrss_end_mb\": {:.1},\n        \"ceil_extraction_ms\": {:.0},\n        \"ceil_blocking_ms\": {:.0},\n        \"ceil_blocking_pairs\": {},\n        \"ceil_memo_candidate_pairs\": {},\n        \"ceil_memo_dp_calls\": {},\n        \"ceil_coh_list_probes\": {}\n      }}",
         p.tables,
         p.candidates,
         p.edges,
@@ -1087,6 +1100,7 @@ fn render_point(p: &ScalePoint) -> String {
         p.memo.matched_pairs,
         p.coh_sketch_rejects,
         p.coh_list_probes,
+        p.coh_memo_pairs,
         p.extraction_ms,
         p.value_space_ms,
         p.blocking_ms,
@@ -1335,15 +1349,19 @@ fn main() {
 
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let delta_apply_ms = ms(delta.report.timings.total);
+    // Cumulative over the batch build and the delta's re-extraction,
+    // the same state `--check` reads it in.
+    let funnel = session.extraction().expect("prepared").funnel;
     let json = format!(
-        "{{\n  \"corpus_tables\": {},\n  \"candidates\": {},\n  \"edges\": {},\n  \"partitions\": {},\n  \"mappings\": {},\n  \"coh_sketch_rejects\": {},\n  \"coh_list_probes\": {},\n  \"stage_ms\": {{\n    \"extraction\": {:.3},\n    \"value_space\": {:.3},\n    \"graph\": {:.3},\n    \"partition\": {:.3},\n    \"conflict\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"graph_detail\": {{\n    \"blocking_ms\": {:.3},\n    \"index_build_ms\": {:.3},\n    \"approx_memo_ms\": {:.3},\n    \"merge_join_ms\": {:.3},\n    \"memo_values\": {},\n    \"memo_candidate_pairs\": {},\n    \"memo_sig_mask_rejects\": {},\n    \"memo_sig_hist_rejects\": {},\n    \"memo_dp_calls\": {},\n    \"memo_matched_pairs\": {}\n  }},\n  \"stage_peak_rss_mb\": {{\n    \"start\": {:.1},\n    \"extraction\": {:.1},\n    \"value_space\": {:.1},\n    \"scoring\": {:.1},\n    \"end\": {:.1}\n  }},\n  \"workers\": {{\n    \"requested\": {},\n    \"effective\": {},\n    \"available\": {}\n  }},\n  \"serving\": {{\n    \"shards\": {},\n    \"values\": {},\n    \"mappings\": {},\n    \"snapshot_build_ms\": {:.3},\n    \"probe_keys\": {},\n    \"lookups\": {},\n    \"single_thread_qps\": {:.0},\n    \"threads\": {},\n    \"multi_thread_qps\": {:.0},\n    \"hit_rate\": {:.3}\n  }},\n  \"delta_detail\": {{\n    \"delta_removed_tables\": {},\n    \"delta_added_tables\": {},\n    \"delta_reordered\": {},\n    \"delta_coherence_flips\": {},\n    \"delta_candidates\": {},\n    \"delta_edges\": {},\n    \"delta_partitions\": {},\n    \"delta_mappings\": {},\n    \"delta_pairs_kept\": {},\n    \"delta_pairs_added\": {},\n    \"delta_pairs_removed\": {},\n    \"delta_memo_dp_calls\": {},\n    \"delta_apply_ms\": {{\n      \"extraction\": {:.3},\n      \"values\": {:.3},\n      \"blocking\": {:.3},\n      \"scoring\": {:.3},\n      \"total\": {:.3}\n    }},\n    \"delta_synth_ms\": {:.3},\n    \"full_rebuild_ms\": {:.3},\n    \"delta_speedup\": {:.2},\n    \"delta_serve\": {{\n      \"publish_added\": {},\n      \"publish_removed\": {},\n      \"publish_unchanged\": {},\n      \"rebuilt_shards\": {},\n      \"total_shards\": {},\n      \"publish_delta_ms\": {:.3}\n    }}\n  }},\n  \"delta_stream_detail\": {},\n  \"fault_detail\": {},\n  \"recovery_detail\": {}\n}}\n",
+        "{{\n  \"corpus_tables\": {},\n  \"candidates\": {},\n  \"edges\": {},\n  \"partitions\": {},\n  \"mappings\": {},\n  \"coh_sketch_rejects\": {},\n  \"coh_list_probes\": {},\n  \"coh_memo_pairs\": {},\n  \"stage_ms\": {{\n    \"extraction\": {:.3},\n    \"value_space\": {:.3},\n    \"graph\": {:.3},\n    \"partition\": {:.3},\n    \"conflict\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"graph_detail\": {{\n    \"blocking_ms\": {:.3},\n    \"index_build_ms\": {:.3},\n    \"approx_memo_ms\": {:.3},\n    \"merge_join_ms\": {:.3},\n    \"memo_values\": {},\n    \"memo_candidate_pairs\": {},\n    \"memo_sig_mask_rejects\": {},\n    \"memo_sig_hist_rejects\": {},\n    \"memo_dp_calls\": {},\n    \"memo_matched_pairs\": {}\n  }},\n  \"stage_peak_rss_mb\": {{\n    \"start\": {:.1},\n    \"extraction\": {:.1},\n    \"value_space\": {:.1},\n    \"scoring\": {:.1},\n    \"end\": {:.1}\n  }},\n  \"workers\": {{\n    \"requested\": {},\n    \"effective\": {},\n    \"available\": {}\n  }},\n  \"serving\": {{\n    \"shards\": {},\n    \"values\": {},\n    \"mappings\": {},\n    \"snapshot_build_ms\": {:.3},\n    \"probe_keys\": {},\n    \"lookups\": {},\n    \"single_thread_qps\": {:.0},\n    \"threads\": {},\n    \"multi_thread_qps\": {:.0},\n    \"hit_rate\": {:.3}\n  }},\n  \"delta_detail\": {{\n    \"delta_removed_tables\": {},\n    \"delta_added_tables\": {},\n    \"delta_reordered\": {},\n    \"delta_coherence_flips\": {},\n    \"delta_candidates\": {},\n    \"delta_edges\": {},\n    \"delta_partitions\": {},\n    \"delta_mappings\": {},\n    \"delta_pairs_kept\": {},\n    \"delta_pairs_added\": {},\n    \"delta_pairs_removed\": {},\n    \"delta_memo_dp_calls\": {},\n    \"delta_apply_ms\": {{\n      \"extraction\": {:.3},\n      \"values\": {:.3},\n      \"blocking\": {:.3},\n      \"scoring\": {:.3},\n      \"total\": {:.3}\n    }},\n    \"delta_synth_ms\": {:.3},\n    \"full_rebuild_ms\": {:.3},\n    \"delta_speedup\": {:.2},\n    \"delta_serve\": {{\n      \"publish_added\": {},\n      \"publish_removed\": {},\n      \"publish_unchanged\": {},\n      \"rebuilt_shards\": {},\n      \"total_shards\": {},\n      \"publish_delta_ms\": {:.3}\n    }}\n  }},\n  \"delta_stream_detail\": {},\n  \"fault_detail\": {},\n  \"recovery_detail\": {}\n}}\n",
         tables,
         output.candidates,
         output.edges,
         output.partitions,
         output.mappings.len(),
-        session.extraction().expect("prepared").funnel.sketch_rejects,
-        session.extraction().expect("prepared").funnel.list_probes,
+        funnel.sketch_rejects,
+        funnel.list_probes,
+        funnel.memo_pairs,
         ms(t.extraction),
         ms(t.value_space),
         ms(t.graph),

@@ -217,23 +217,21 @@ fn sketch_of(postings: &[GlobalColId]) -> Option<Box<PostingSketch>> {
     (postings.len() >= SKETCH_MIN_LEN).then(|| Box::new(PostingSketch::of(postings)))
 }
 
-/// Length of the intersection of two sorted, duplicate-free slices.
-fn intersection_len(a: &[GlobalColId], b: &[GlobalColId]) -> usize {
-    // Galloping helps when one list is much shorter; the plain merge is
-    // fine at our scale and simpler to verify.
-    let mut i = 0;
-    let mut j = 0;
-    let mut n = 0;
+/// Length of the intersection of two sorted, duplicate-free slices, by
+/// one linear merge. This is the reference count behind
+/// [`ValueIndex::cooccurrence`] and the coherence memo's miss path,
+/// which calls it only for pairs whose lengths are balanced enough
+/// that a merge beats binary-searching the shorter list in the longer
+/// (see `stats::pair_cooccurrences`). Branch-free stepping: the
+/// comparison outcome is data-dependent, so a mispredicted branch per
+/// element would dominate.
+pub(crate) fn intersection_len(a: &[GlobalColId], b: &[GlobalColId]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        n += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     n
 }

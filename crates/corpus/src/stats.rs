@@ -12,8 +12,11 @@
 //! paper's Table 7: mixed addresses, zip codes, free text) score low and
 //! are pruned before candidate extraction.
 
-use crate::index::{GlobalColId, ValueIndex};
+use crate::index::{intersection_len, GlobalColId, ValueIndex};
 use crate::intern::Sym;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Pre-resolved co-occurrence counts for a pair of values.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -191,7 +194,7 @@ fn coherence_sum(
 /// — every sampled value is by definition in the column, so each count
 /// is reduced by exactly one — and is re-applied by
 /// [`coherence_from_counts`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CoherenceDetail {
     /// The sampled values, in sample order.
     pub samples: Vec<Sym>,
@@ -204,18 +207,25 @@ pub struct CoherenceDetail {
 
 /// Funnel counters for the sketch-accelerated coherence pair loop:
 /// how many sampled pairs were resolved from sketches alone versus
-/// needing real posting-list data. Purely observational — the counts
-/// themselves are exact either way — but committed to the scale-tier
-/// baseline so a regression in sketch effectiveness fails CI.
+/// needing real posting-list data, and how many distinct pairs the
+/// pass-scoped [`CooccurrenceMemo`] had to intersect. Purely
+/// observational — the counts themselves are exact either way — and
+/// deterministic for any worker count, so `pipeline_baseline --check`
+/// gates them exactly: a regression in sketch effectiveness fails CI.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoherenceFunnel {
     /// Pairs resolved without touching a posting list: zero-length or
     /// singleton shortcuts, and sketch bounds that pinched
     /// (`lower == upper`).
     pub sketch_rejects: u64,
-    /// Pairs that fell through to posting-list data (small-list
-    /// probes or the restricted-universe bitmap intersection).
+    /// Pairs that fell through to posting-list data: small-list
+    /// gallops, and memo lookups (hits and misses alike).
     pub list_probes: u64,
+    /// Distinct value pairs intersected and stored by the pass-scoped
+    /// memo — its final size, summed over extraction passes. The rest
+    /// of the memo-tier probes were repeats, answered from the memo
+    /// unless two workers raced to intersect the same new pair.
+    pub memo_pairs: u64,
 }
 
 impl CoherenceFunnel {
@@ -224,12 +234,179 @@ impl CoherenceFunnel {
     pub fn merge(&mut self, other: &CoherenceFunnel) {
         self.sketch_rejects += other.sketch_rejects;
         self.list_probes += other.list_probes;
+        self.memo_pairs += other.memo_pairs;
+    }
+}
+
+/// Shard count of [`CooccurrenceMemo`] (a power of two). Enough that
+/// concurrent extraction workers rarely meet on one lock, few enough
+/// that a column's batched lookups take each lock about once.
+const MEMO_SHARDS: usize = 32;
+
+/// Pass-scoped memo of raw co-occurrence counts `|C(u) ∩ C(v)|`,
+/// keyed by the unordered value pair and shared by every extraction
+/// worker of one pass.
+///
+/// Sampled value pairs repeat heavily across columns (the same hot
+/// values co-occur in many tables), so the posting-list intersection at
+/// the end of the coherence funnel runs once per distinct pair instead
+/// of once per column that samples it. Counts are raw — the scored
+/// column's self-exclusion only shapes the sketch floor, never a
+/// stored count — so a stored count is a pure function of the
+/// [`ValueIndex`] it was computed against. A memo must therefore never
+/// outlive an index mutation: extraction creates one per pass and drops
+/// it before returning.
+///
+/// Concurrent workers may both miss the same pair and both intersect
+/// it; the insert is idempotent (equal counts), so the final size
+/// ([`len`](Self::len)) is deterministic for any worker count.
+pub struct CooccurrenceMemo {
+    shards: Box<[Mutex<HashMap<u64, u32, PairHashBuilder>>]>,
+}
+
+impl Default for CooccurrenceMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CooccurrenceMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self {
+            shards: (0..MEMO_SHARDS)
+                .map(|_| Mutex::new(HashMap::with_hasher(PairHashBuilder)))
+                .collect(),
+        }
+    }
+
+    /// Distinct value pairs stored.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| lock(s).len()).sum()
+    }
+
+    /// True when no pair has been stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Resolve every probe the memo holds into `pair_counts`, taking
+    /// each shard's lock once. `probes` must be grouped by shard (see
+    /// [`group_by_shard`]); the misses are returned in the same
+    /// grouping, ready for [`store`](Self::store).
+    fn lookup(&self, probes: &[MemoProbe], pair_counts: &mut [u32]) -> Vec<MemoProbe> {
+        let mut misses = Vec::new();
+        for run in probes.chunk_by(|a, b| a.shard == b.shard) {
+            let map = lock(&self.shards[run[0].shard as usize]);
+            for p in run {
+                match map.get(&p.key) {
+                    Some(&count) => pair_counts[p.slot as usize] = count,
+                    None => misses.push(*p),
+                }
+            }
+        }
+        misses
+    }
+
+    /// Store the counts of freshly intersected probes (grouped by
+    /// shard), one lock per shard. A pair another worker stored in the
+    /// meantime carries the same count, so the first insert wins.
+    fn store(&self, probes: &[MemoProbe], pair_counts: &[u32]) {
+        for run in probes.chunk_by(|a, b| a.shard == b.shard) {
+            let mut map = lock(&self.shards[run[0].shard as usize]);
+            for p in run {
+                map.entry(p.key).or_insert(pair_counts[p.slot as usize]);
+            }
+        }
+    }
+}
+
+/// Lock a memo shard. The maps are only ever extended with exact
+/// counts, so a shard whose holder panicked is still consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One memo-tier pair of a column: where its count goes, which samples
+/// it joins, and its memo key and shard.
+#[derive(Clone, Copy)]
+struct MemoProbe {
+    key: u64,
+    shard: u32,
+    i: u32,
+    j: u32,
+    slot: u32,
+}
+
+impl MemoProbe {
+    fn new(samples: &[Sym], i: usize, j: usize, slot: usize) -> Self {
+        let (a, b) = (samples[i].0, samples[j].0);
+        let key = (u64::from(a.max(b)) << 32) | u64::from(a.min(b));
+        // Shard by the high bits of a multiplicative mix (the map's own
+        // hasher uses a different multiplier, so in-shard buckets stay
+        // spread).
+        let shard = (key.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 59) as u32;
+        debug_assert!((shard as usize) < MEMO_SHARDS);
+        Self {
+            key,
+            shard,
+            i: i as u32,
+            j: j as u32,
+            slot: slot as u32,
+        }
+    }
+}
+
+/// Order probes by shard with a counting sort (linear, stable), so
+/// each shard's probes form one contiguous run.
+fn group_by_shard(probes: Vec<MemoProbe>) -> Vec<MemoProbe> {
+    let mut start = [0usize; MEMO_SHARDS + 1];
+    for p in &probes {
+        start[p.shard as usize + 1] += 1;
+    }
+    for s in 0..MEMO_SHARDS {
+        start[s + 1] += start[s];
+    }
+    let mut grouped = probes.clone();
+    for p in probes {
+        let at = &mut start[p.shard as usize];
+        grouped[*at] = p;
+        *at += 1;
+    }
+    grouped
+}
+
+/// Hasher for memo keys: one multiply, its high half folded down so
+/// the low bits a hash table indexes by depend on every key bit.
+#[derive(Clone, Copy, Default)]
+struct PairHashBuilder;
+
+impl BuildHasher for PairHashBuilder {
+    type Hasher = PairHasher;
+    fn build_hasher(&self) -> PairHasher {
+        PairHasher(0)
+    }
+}
+
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
 /// Below this length a direct gallop of the shorter list against the
-/// longer is cheaper than routing the pair through the bitmap
-/// intersection (and keeps the bitmap universe small).
+/// longer is cheaper than a round trip through the memo (and keeps the
+/// memo small).
 const DIRECT_PROBE_MAX: usize = 8;
 
 /// [`column_coherence_excluding`] plus the raw evidence it was computed
@@ -237,16 +414,17 @@ const DIRECT_PROBE_MAX: usize = 8;
 ///
 /// The O(samples²) pair loop consults the posting-list sketches first
 /// ([`crate::sketch::PostingSketch`]); pairs the exact bounds resolve
-/// never touch a posting list, and the survivors are intersected
-/// together over one restricted universe of column ids (64 columns per
-/// machine word) instead of pair-by-pair list merges. Every count is
-/// exact, so the detail — and therefore the score — is bit-identical
-/// to the `#[cfg(test)]` probe oracle this path is tested against.
+/// never touch a posting list. The survivors are answered from the
+/// pass-scoped `memo` where another column already intersected them,
+/// and only the misses are intersected. Every count is exact, so the
+/// detail — and therefore the score — is bit-identical to the
+/// `#[cfg(test)]` probe oracle this path is tested against.
 pub fn column_coherence_detailed(
     index: &ValueIndex,
     distinct_values: &[Sym],
     cfg: CoherenceConfig,
     exclude: GlobalColId,
+    memo: &CooccurrenceMemo,
     funnel: &mut CoherenceFunnel,
 ) -> (f64, CoherenceDetail) {
     let samples = sample_values(distinct_values, cfg);
@@ -257,7 +435,7 @@ pub fn column_coherence_detailed(
             index.column_count(u) as u32
         })
         .collect();
-    let pair_counts = pair_cooccurrences(index, &samples, exclude, funnel);
+    let pair_counts = pair_cooccurrences(index, &samples, exclude, memo, funnel);
     let score = coherence_from_counts(&value_counts, &pair_counts, index.total_columns());
     (
         score,
@@ -271,7 +449,8 @@ pub fn column_coherence_detailed(
 
 /// `|C(u) ∩ C(v)|` for every sampled pair in `i < j` order — the exact
 /// counts the old pair-by-pair [`ValueIndex::cooccurrence`] loop
-/// produced, through a three-tier funnel:
+/// produced, through a funnel whose first tier that can answer a pair
+/// does:
 ///
 /// 1. **Shortcuts** — an empty list intersects nothing; when both
 ///    lists contain the scored column `g`, a singleton list is exactly
@@ -279,14 +458,19 @@ pub fn column_coherence_detailed(
 /// 2. **Sketch resolution** — the exact lower/upper overlap bounds of
 ///    the posting sketches (floored at 1 when both lists contain `g`);
 ///    a pinched pair (`lb == ub`) is resolved without list access.
-/// 3. **Bitmap intersection** — survivors are counted over one shared
-///    restricted universe: the union of the involved posting lists,
-///    each list materialized once as a bitvector, each pair a
-///    word-parallel AND/popcount.
+/// 3. **Gallop** — an unsketched pair whose shorter list has at most
+///    [`DIRECT_PROBE_MAX`] entries is intersected directly.
+/// 4. **Memo** — a pair some column of this pass already intersected
+///    is answered from the shared [`CooccurrenceMemo`].
+/// 5. **Miss path** — each memo miss is intersected once, by gallop or
+///    merge (see [`miss_intersection`]), and stored in the memo.
+///
+/// Tiers 1–2 feed `sketch_rejects`, tiers 3–5 `list_probes`.
 fn pair_cooccurrences(
     index: &ValueIndex,
     samples: &[Sym],
     exclude: GlobalColId,
+    memo: &CooccurrenceMemo,
     funnel: &mut CoherenceFunnel,
 ) -> Vec<u32> {
     let k = samples.len();
@@ -305,8 +489,8 @@ fn pair_cooccurrences(
         .map(|&u| index.columns(u).binary_search(&exclude).is_ok())
         .collect();
 
-    // (i, j, slot) of pairs the sketches could not resolve.
-    let mut unresolved: Vec<(u32, u32, u32)> = Vec::new();
+    // Pairs neither the sketches nor a gallop resolved.
+    let mut unresolved: Vec<MemoProbe> = Vec::new();
     let mut slot = 0usize;
     for i in 0..k {
         for j in (i + 1)..k {
@@ -333,16 +517,16 @@ fn pair_cooccurrences(
                     pair_counts[slot] = lb;
                     funnel.sketch_rejects += 1;
                 } else {
-                    unresolved.push((i as u32, j as u32, slot as u32));
+                    unresolved.push(MemoProbe::new(samples, i, j, slot));
                 }
             } else if lens[i].min(lens[j]) <= DIRECT_PROBE_MAX {
                 // Short lists gallop against the longer one directly —
-                // cheaper than widening the bitmap universe for them.
+                // cheaper than a memo round trip.
                 pair_counts[slot] =
                     gallop_intersection(index.columns(samples[i]), index.columns(samples[j]));
                 funnel.list_probes += 1;
             } else {
-                unresolved.push((i as u32, j as u32, slot as u32));
+                unresolved.push(MemoProbe::new(samples, i, j, slot));
             }
             slot += 1;
         }
@@ -352,48 +536,31 @@ fn pair_cooccurrences(
     }
     funnel.list_probes += unresolved.len() as u64;
 
-    // Restricted universe: the union of the unresolved samples'
-    // posting lists, deduplicated to dense bit positions.
-    let mut involved = vec![false; k];
-    for &(i, j, _) in &unresolved {
-        involved[i as usize] = true;
-        involved[j as usize] = true;
+    let misses = memo.lookup(&group_by_shard(unresolved), &mut pair_counts);
+    for p in &misses {
+        pair_counts[p.slot as usize] = miss_intersection(
+            index.columns(samples[p.i as usize]),
+            index.columns(samples[p.j as usize]),
+        );
     }
-    let mut universe: Vec<GlobalColId> = Vec::new();
-    for (i, &inv) in involved.iter().enumerate() {
-        if inv {
-            universe.extend_from_slice(index.columns(samples[i]));
-        }
-    }
-    universe.sort_unstable();
-    universe.dedup();
-    let words = universe.len().div_ceil(64);
-
-    // One bitvector per involved sample: each posting list is read
-    // once here, instead of once per pair in the old merge loop.
-    let mut rows: Vec<Vec<u64>> = vec![Vec::new(); k];
-    for (i, &inv) in involved.iter().enumerate() {
-        if !inv {
-            continue;
-        }
-        let mut row = vec![0u64; words];
-        let mut at = 0usize;
-        for &gid in index.columns(samples[i]) {
-            // Every gid is in the universe by construction; a merge
-            // walk finds its slot without per-element binary search.
-            while universe[at] < gid {
-                at += 1;
-            }
-            row[at / 64] |= 1u64 << (at % 64);
-            at += 1;
-        }
-        rows[i] = row;
-    }
-    for &(i, j, s) in &unresolved {
-        let (ru, rv) = (&rows[i as usize], &rows[j as usize]);
-        pair_counts[s as usize] = ru.iter().zip(rv).map(|(a, b)| (a & b).count_ones()).sum();
-    }
+    memo.store(&misses, &pair_counts);
     pair_counts
+}
+
+/// `|a ∩ b|` for a pair no other column of the pass has intersected:
+/// binary-search the shorter list's elements in the longer one when
+/// that costs fewer steps (`short · log₂ long`) than one linear merge
+/// (`short + long`), else merge. Memo misses are mostly distinct pairs
+/// spread over many samples, so per-pair intersection beats building
+/// a shared bitmap universe (sorting the union of the lists) for them.
+fn miss_intersection(a: &[GlobalColId], b: &[GlobalColId]) -> u32 {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let log_long = (usize::BITS - long.len().leading_zeros()) as usize;
+    if short.len() * log_long < short.len() + long.len() {
+        gallop_intersection(short, long)
+    } else {
+        intersection_len(short, long) as u32
+    }
 }
 
 /// `|a ∩ b|` by binary-searching each element of the shorter list in
@@ -614,11 +781,12 @@ mod tests {
         let idx = ValueIndex::build(&c);
         let cfg = CoherenceConfig::default();
         let mut funnel = CoherenceFunnel::default();
+        let memo = CooccurrenceMemo::new();
         for (ti, table) in c.tables.iter().enumerate() {
             let col = &table.columns[0];
             let g = GlobalColId(ti as u32);
             let (score, detail) =
-                column_coherence_detailed(&idx, &col.distinct(), cfg, g, &mut funnel);
+                column_coherence_detailed(&idx, &col.distinct(), cfg, g, &memo, &mut funnel);
             assert_eq!(
                 detail.pair_counts,
                 pair_cooccurrences_probe(&idx, &detail.samples),
@@ -629,6 +797,13 @@ mod tests {
         }
         assert!(funnel.sketch_rejects > 0, "no pair resolved by sketch");
         assert!(funnel.list_probes > 0, "no pair needed a probe");
+        // The 30 near-identical columns share their hot pairs: the
+        // memo intersected each once and answered the repeats.
+        assert!(!memo.is_empty(), "no pair reached the memo");
+        assert!(
+            (memo.len() as u64) < funnel.list_probes,
+            "no memo-tier probe was a repeat"
+        );
     }
 
     proptest::proptest! {
@@ -659,6 +834,7 @@ mod tests {
                 &col.distinct(),
                 CoherenceConfig::default(),
                 GlobalColId(ti as u32),
+                &CooccurrenceMemo::new(),
                 &mut funnel,
             );
             proptest::prop_assert_eq!(
@@ -672,6 +848,79 @@ mod tests {
                 GlobalColId(ti as u32),
             );
             proptest::prop_assert_eq!(score.to_bits(), oracle.to_bits());
+        }
+
+        /// The shared memo across a whole pass: every column of a
+        /// corpus drawn from one small value pool (so hot pairs repeat
+        /// across columns and lists grow long enough to be sketched
+        /// and reach the memo) is scored through *one* memo, in an
+        /// order that interleaves tables. Each column's counts must
+        /// equal the probe oracle and each score the unmemoized gather
+        /// — a wrong count stored by one column would surface in every
+        /// later column that samples the pair.
+        #[test]
+        fn prop_shared_memo_matches_probe(
+            tables in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(0u8..20, 2..14),
+                    1..4,
+                ),
+                8..40,
+            ),
+            stride in 1usize..7,
+        ) {
+            let mut c = Corpus::new();
+            let d = c.domain("x");
+            for cols in &tables {
+                // Columns of one table share a row count: cut to the
+                // shortest.
+                let rows = cols.iter().map(Vec::len).min().unwrap_or(0);
+                let strs: Vec<Vec<String>> = cols
+                    .iter()
+                    .map(|vals| vals[..rows].iter().map(|v| format!("v{v}")).collect())
+                    .collect();
+                c.push_table(
+                    d,
+                    strs.iter()
+                        .map(|col| (None, col.iter().map(String::as_str).collect()))
+                        .collect(),
+                );
+            }
+            let idx = ValueIndex::build(&c);
+            let mut columns: Vec<(Vec<Sym>, GlobalColId)> = Vec::new();
+            let mut gid = 0u32;
+            for table in &c.tables {
+                for col in &table.columns {
+                    columns.push((col.distinct(), GlobalColId(gid)));
+                    gid += 1;
+                }
+            }
+            let cfg = CoherenceConfig { max_sample: 12 };
+            let memo = CooccurrenceMemo::new();
+            let mut funnel = CoherenceFunnel::default();
+            let n = columns.len();
+            // Visit every column once, interleaving tables: a stride
+            // coprime to n is a permutation of 0..n.
+            let gcd = |mut a: usize, mut b: usize| {
+                while b != 0 {
+                    (a, b) = (b, a % b);
+                }
+                a
+            };
+            let stride = if gcd(n, stride) == 1 { stride } else { 1 };
+            for step in 0..n {
+                let at = step * stride % n;
+                let (distinct, g) = &columns[at];
+                let (score, detail) =
+                    column_coherence_detailed(&idx, distinct, cfg, *g, &memo, &mut funnel);
+                proptest::prop_assert_eq!(
+                    &detail.pair_counts,
+                    &pair_cooccurrences_probe(&idx, &detail.samples)
+                );
+                let oracle = column_coherence_excluding(&idx, distinct, cfg, *g);
+                proptest::prop_assert_eq!(score.to_bits(), oracle.to_bits());
+            }
+            proptest::prop_assert!(memo.len() as u64 <= funnel.list_probes);
         }
     }
 }

@@ -18,8 +18,8 @@
 use crate::filters::{approx_fd_holds, column_passes, numeric_fraction};
 use mapsynth_corpus::{
     coherence_from_counts, column_coherence_detailed, BinaryId, BinaryTable, CoherenceConfig,
-    CoherenceDetail, CoherenceFunnel, Corpus, GlobalColId, Interner, RowPatch, Sym, Table, TableId,
-    TableSource, ValueIndex,
+    CoherenceDetail, CoherenceFunnel, CooccurrenceMemo, Corpus, GlobalColId, Interner, RowPatch,
+    Sym, Table, TableId, TableSource, ValueIndex,
 };
 use mapsynth_mapreduce::MapReduce;
 use std::collections::{HashMap, HashSet};
@@ -116,7 +116,7 @@ impl ExtractionStats {
 type CandidateRows = (u16, u16, Vec<(Sym, Sym)>);
 
 /// Cached per-column extraction state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct ColumnCache {
     /// Passed the structural (distinct count / cell length) filters.
     /// Content-determined — never re-evaluated.
@@ -161,9 +161,13 @@ struct TableExtraction {
     funnel: CoherenceFunnel,
 }
 
+/// Extract one table against `index`. `memo` is the pass-scoped
+/// co-occurrence memo every table of the current extraction pass
+/// shares; it must have been created against this exact `index`.
 fn extract_table(
     strs: &Interner,
     index: &ValueIndex,
+    memo: &CooccurrenceMemo,
     table: &Table,
     first_gid: u32,
     cfg: &ExtractionConfig,
@@ -191,8 +195,14 @@ fn extract_table(
             continue;
         }
         let gid = GlobalColId(first_gid + ci as u32);
-        let (coherence, detail) =
-            column_coherence_detailed(index, &col.distinct(), cfg.coherence, gid, &mut funnel);
+        let (coherence, detail) = column_coherence_detailed(
+            index,
+            &col.distinct(),
+            cfg.coherence,
+            gid,
+            memo,
+            &mut funnel,
+        );
         let keep = coherence >= cfg.min_coherence;
         if !keep {
             stats.columns_incoherent += 1;
@@ -320,10 +330,13 @@ pub fn extract_candidates_masked(
     let live: Vec<usize> = (0..corpus.tables.len()).filter(|&ti| alive[ti]).collect();
     let index_ref = &index;
     let first_ref = &first_col;
+    let memo = CooccurrenceMemo::new();
+    let memo_ref = &memo;
     let outputs: Vec<TableExtraction> = mr.par_map(&live, |&ti| {
         extract_table(
             &corpus.interner,
             index_ref,
+            memo_ref,
             &corpus.tables[ti],
             first_ref[ti],
             cfg,
@@ -332,7 +345,12 @@ pub fn extract_candidates_masked(
 
     let mut all = Vec::new();
     let mut stats = ExtractionStats::default();
-    let mut funnel = CoherenceFunnel::default();
+    let mut funnel = CoherenceFunnel {
+        memo_pairs: memo.len() as u64,
+        ..Default::default()
+    };
+    // The memo's counts describe this pass's index only.
+    drop(memo);
     let mut tables: Vec<TableCache> = (0..corpus.tables.len())
         .map(|ti| TableCache {
             alive: false,
@@ -441,6 +459,8 @@ pub fn extract_candidates_streaming<S: TableSource>(
     let mut tables: Vec<TableCache> = Vec::with_capacity(n_tables);
     let index_ref = &index;
     let first_ref = &first_col;
+    let memo = CooccurrenceMemo::new();
+    let memo_ref = &memo;
     loop {
         let batch = source.next_batch(batch_tables);
         if batch.is_empty() {
@@ -448,7 +468,14 @@ pub fn extract_candidates_streaming<S: TableSource>(
         }
         let strs = source.interner();
         let outputs: Vec<TableExtraction> = mr.par_map(&batch, |t| {
-            extract_table(strs, index_ref, t, first_ref[t.id.0 as usize], cfg)
+            extract_table(
+                strs,
+                index_ref,
+                memo_ref,
+                t,
+                first_ref[t.id.0 as usize],
+                cfg,
+            )
         });
         for (t, out) in batch.iter().zip(outputs) {
             merge_stats(&mut stats, &out.stats);
@@ -471,6 +498,8 @@ pub fn extract_candidates_streaming<S: TableSource>(
             });
         }
     }
+    funnel.memo_pairs = memo.len() as u64;
+    drop(memo);
     let cache = ExtractionCache {
         index,
         tables,
@@ -914,12 +943,17 @@ impl ExtractionCache {
         // patch. A surviving (left, right) pair keeps its candidate id
         // with replaced rows; a lost pair tombstones; a gained pair
         // forces a renumber exactly like a coherence flip-up.
+        // Steps 4b and 5 share one memo: the index is final from here
+        // to the end of the delta.
+        let memo = CooccurrenceMemo::new();
+        let memo_ref = &memo;
         let index_ref = &self.index;
         let tables_ref = &self.tables;
         let repatched: Vec<TableExtraction> = mr.par_map(&patched, |&ti| {
             extract_table(
                 &corpus.interner,
                 index_ref,
+                memo_ref,
                 &corpus.tables[ti as usize],
                 tables_ref[ti as usize].first_gid,
                 cfg,
@@ -980,6 +1014,7 @@ impl ExtractionCache {
             extract_table(
                 &corpus.interner,
                 index_ref,
+                memo_ref,
                 &corpus.tables[ti as usize],
                 tables_ref[ti as usize].first_gid,
                 cfg,
@@ -1003,6 +1038,8 @@ impl ExtractionCache {
                 );
             }
         }
+        self.funnel.memo_pairs += memo.len() as u64;
+        drop(memo);
 
         // 6. Aggregate stats over the live view (what a fresh run on
         // the post-delta corpus reports).
@@ -1693,6 +1730,121 @@ mod tests {
             after.list_probes + after.sketch_rejects > base.list_probes + base.sketch_rejects,
             "the added table's extraction must add funnel work"
         );
+    }
+
+    /// Per-column coherence state of every live table, for comparing
+    /// two caches over the same corpus and interner.
+    fn column_states(cache: &ExtractionCache) -> Vec<(usize, &[ColumnCache])> {
+        cache
+            .tables
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.alive)
+            .map(|(ti, t)| (ti, t.cols.as_slice()))
+            .collect()
+    }
+
+    /// The pass-scoped memo is filled concurrently: whichever worker
+    /// first misses a pair intersects it. 1, 2 and 8 workers must still
+    /// agree on candidates, stats, every column's coherence evidence,
+    /// and the memo's final size.
+    #[test]
+    fn memo_fill_identical_across_worker_counts() {
+        let wc = small_corpus();
+        let cfg = ExtractionConfig::default();
+        let (base, base_stats, base_cache) =
+            extract_candidates_cached(&wc.corpus, &cfg, &MapReduce::new(1));
+        let funnel = base_cache.coherence_funnel();
+        assert!(funnel.memo_pairs > 0, "no pair reached the memo");
+        assert!(
+            funnel.memo_pairs < funnel.list_probes,
+            "the memo answered no repeat"
+        );
+        for workers in [2, 8] {
+            let (cands, stats, cache) =
+                extract_candidates_cached(&wc.corpus, &cfg, &MapReduce::new(workers));
+            assert_eq!(stats, base_stats, "{workers} workers: stats");
+            assert_eq!(cands.len(), base.len(), "{workers} workers: candidates");
+            for (a, b) in cands.iter().zip(&base) {
+                assert_eq!((a.id, a.source), (b.id, b.source));
+                assert_eq!((a.left_col, a.right_col), (b.left_col, b.right_col));
+                assert_eq!(a.pairs, b.pairs);
+            }
+            assert!(
+                column_states(&cache) == column_states(&base_cache),
+                "{workers} workers: per-column coherence evidence diverged"
+            );
+            assert_eq!(
+                cache.coherence_funnel(),
+                funnel,
+                "{workers} workers: funnel"
+            );
+        }
+    }
+
+    /// A delta's re-extractions (row-patched and added tables) run
+    /// through a memo of their own, created after the index mutation.
+    /// If counts from the fresh pass leaked into them, the clones and
+    /// the patched table below — whose value pairs all gained or lost
+    /// co-occurrences — would carry stale pair counts. The advanced
+    /// cache must equal a fresh extraction of the post-delta corpus
+    /// column by column.
+    #[test]
+    fn delta_reextraction_uses_post_delta_counts() {
+        let wc = small_corpus();
+        let mut corpus = wc.corpus;
+        let cfg = ExtractionConfig::default();
+        let mr = MapReduce::new(2);
+        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+
+        let removed = vec![TableId(17), TableId(64)];
+        let src = base[0].source;
+        let t = corpus.table(src);
+        let row_of = |t: &Table, ri: usize| -> Vec<String> {
+            t.columns
+                .iter()
+                .map(|col| corpus.str_of(col.values[ri]).to_string())
+                .collect()
+        };
+        let donor = corpus
+            .tables
+            .iter()
+            .find(|d| d.id != src && !removed.contains(&d.id) && d.width() == t.width())
+            .expect("corpus has a same-width donor table");
+        let patch = RowPatch {
+            table: src,
+            deleted: vec![row_of(t, 0)],
+            inserted: vec![row_of(donor, 0)],
+        };
+        corpus.apply_row_patch(&patch);
+        let nd = corpus.domain("delta.example");
+        let mut added = Vec::new();
+        for ti in [base[1].source.0, base[2].source.0, 40] {
+            let cols = corpus.tables[ti as usize].columns.clone();
+            added.push(corpus.push_interned_table(nd, cols));
+        }
+        let delta = cache.apply_delta(&corpus, &added, &removed, &[patch], &cfg, &mr);
+        assert!(delta.tables_reextracted > 0);
+
+        let alive: Vec<bool> = corpus
+            .tables
+            .iter()
+            .map(|t| !removed.contains(&t.id))
+            .collect();
+        let (fresh, fresh_stats, fresh_cache) =
+            extract_candidates_masked(&corpus, &alive, &cfg, &mr);
+        assert_eq!(delta.stats, fresh_stats, "aggregate stats");
+        assert!(
+            column_states(&cache) == column_states(&fresh_cache),
+            "re-extracted coherence evidence diverged from a fresh pass"
+        );
+        let (rebuilt, _, _) = cache.rebuild_candidates(&corpus);
+        assert_eq!(rebuilt.len(), fresh.len(), "candidate count");
+        for (a, b) in rebuilt.iter().zip(&fresh) {
+            assert_eq!((a.id, a.source), (b.id, b.source));
+            assert_eq!((a.left_col, a.right_col), (b.left_col, b.right_col));
+            assert_eq!(a.pairs, b.pairs);
+        }
     }
 
     #[test]

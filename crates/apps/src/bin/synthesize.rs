@@ -15,6 +15,8 @@
 //!                translations).
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mapsynth::pipeline::{Pipeline, PipelineConfig};
 use mapsynth_corpus::load_csv_dir;
 use mapsynth_serve::{MappingService, SnapshotBuilder};

@@ -21,6 +21,8 @@
 //! [`mapsynth_serve::MappingService`] — the concurrent serving path
 //! for heavy traffic.
 
+#![forbid(unsafe_code)]
+
 pub mod autocorrect;
 pub mod autofill;
 pub mod autojoin;

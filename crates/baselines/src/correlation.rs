@@ -167,12 +167,13 @@ mod tests {
                 BinaryTable::new(BinaryId(i as u32), TableId(i as u32), d, 0, 1, syms)
             })
             .collect();
-        build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
             &mapsynth_mapreduce::MapReduce::new(2),
-        )
+        );
+        (space, tables)
     }
 
     #[test]

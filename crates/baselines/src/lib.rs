@@ -20,6 +20,8 @@
 //! picking the best relation per benchmark case (the paper's
 //! method-favourable scoring).
 
+#![forbid(unsafe_code)]
+
 pub mod correlation;
 pub mod kb;
 pub mod schema_cc;
@@ -27,7 +29,7 @@ pub mod single_table;
 pub mod union;
 pub mod wise;
 
-use mapsynth::blocking::candidate_pairs;
+use mapsynth::blocking::BlockingIndex;
 use mapsynth::compat::{PairWeights, ScoringContext};
 use mapsynth::values::{NormBinary, ValueSpace};
 use mapsynth::SynthesisConfig;
@@ -47,7 +49,7 @@ pub fn score_candidate_pairs(
     mr: &MapReduce,
 ) -> ScoredPairs {
     let cfg = SynthesisConfig::default();
-    let (pairs, _) = candidate_pairs(space, tables, &cfg, mr);
+    let (_, pairs, _) = BlockingIndex::build(space, tables, &cfg, mr);
     let ctx = ScoringContext::build(space, tables, &cfg, mr);
     mr.par_map(&pairs, |&(a, b)| (a, b, ctx.score_pair(space, a, b)))
 }

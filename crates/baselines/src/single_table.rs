@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn webtable_offers_everything() {
         let (corpus, cands) = setup();
-        let (space, tables) = build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn wikitable_filters_by_domain() {
         let (corpus, cands) = setup();
-        let (space, tables) = build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),

@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn union_domain_groups_within_domain_only() {
         let (corpus, cands) = setup();
-        let (space, tables) = build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn union_web_overgroups_generic_names() {
         let (corpus, cands) = setup();
-        let (space, tables) = build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
@@ -155,7 +155,7 @@ mod tests {
             (corpus.interner.intern("y"), corpus.interner.intern("2")),
         ];
         cands.push(BinaryTable::new(BinaryId(3), TableId(3), d, 0, 1, syms));
-        let (space, tables) = build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),

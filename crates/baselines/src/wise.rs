@@ -223,7 +223,7 @@ mod tests {
                 vec![("Hydrogen", "H"), ("Helium", "He")],
             ),
         ];
-        let (space, tables) = build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),

@@ -3,7 +3,7 @@
 //! re-grouping is what makes pairwise scoring feasible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mapsynth::blocking::candidate_pairs;
+use mapsynth::blocking::BlockingIndex;
 use mapsynth::compat::ScoringContext;
 use mapsynth::values::build_value_space;
 use mapsynth::SynthesisConfig;
@@ -14,9 +14,9 @@ use mapsynth_mapreduce::MapReduce;
 fn blocking(c: &mut Criterion) {
     let wc = bench_corpus(400);
     let mr = MapReduce::default();
-    let (cands, _) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
+    let (cands, _, _) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
     let feed = wc.registry.partial_synonym_feed(0.5, 11);
-    let (space, tables) = build_value_space(&wc.corpus.interner, &cands, &feed, &mr);
+    let (space, tables, _) = build_value_space(&wc.corpus.interner, &cands, &feed, &mr);
     let cfg = SynthesisConfig::default();
 
     let ctx = ScoringContext::build(&space, &tables, &cfg, &mr);
@@ -24,7 +24,7 @@ fn blocking(c: &mut Criterion) {
     let mut g = c.benchmark_group("blocking");
     g.sample_size(10);
     g.bench_function("blocked_pairs", |b| {
-        b.iter(|| candidate_pairs(&space, &tables, &cfg, &mr))
+        b.iter(|| BlockingIndex::build(&space, &tables, &cfg, &mr))
     });
     // All-pairs scoring on a small subset to keep the bench bounded;
     // the quadratic shape is the point (both paths share the context,
@@ -41,7 +41,7 @@ fn blocking(c: &mut Criterion) {
             total
         })
     });
-    let (pairs, _) = candidate_pairs(&space, &tables, &cfg, &mr);
+    let (_, pairs, _) = BlockingIndex::build(&space, &tables, &cfg, &mr);
     g.bench_function("blocked_scoring_all", |b| {
         b.iter(|| {
             pairs

@@ -5,7 +5,7 @@
 //! table pair.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mapsynth::blocking::candidate_pairs;
+use mapsynth::blocking::BlockingIndex;
 use mapsynth::compat::{match_counts, ScoringContext};
 use mapsynth::graph::build_graph;
 use mapsynth::values::build_value_space;
@@ -17,11 +17,11 @@ use mapsynth_mapreduce::MapReduce;
 fn scoring(c: &mut Criterion) {
     let wc = bench_corpus(400);
     let mr = MapReduce::default();
-    let (cands, _) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
+    let (cands, _, _) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
     let feed = wc.registry.partial_synonym_feed(0.5, 11);
-    let (space, tables) = build_value_space(&wc.corpus.interner, &cands, &feed, &mr);
+    let (space, tables, _) = build_value_space(&wc.corpus.interner, &cands, &feed, &mr);
     let cfg = SynthesisConfig::default();
-    let (pairs, _) = candidate_pairs(&space, &tables, &cfg, &mr);
+    let (_, pairs, _) = BlockingIndex::build(&space, &tables, &cfg, &mr);
     let ctx = ScoringContext::build(&space, &tables, &cfg, &mr);
 
     // Report the similarity-join filter funnel once: of the candidate

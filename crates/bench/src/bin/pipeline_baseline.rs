@@ -8,11 +8,10 @@
 //! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --check BENCH_pipeline.json
 //! # corpus scale tier: growth-curve points up to N tables
 //! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 30000 BENCH_scale.json
-//! # explicit point list instead of the default N/4, N/2, N, with the
-//! # sharded builds spilling shard artifacts to disk:
-//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 100000 --points 600,7500,15000,30000,100000 --spill BENCH_scale.json
+//! # explicit point list instead of the default N/4, N/2, N:
+//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 100000 --points 600,7500,15000,30000,100000 BENCH_scale.json
 //! # verify one committed scale point (CI growth-curve gate):
-//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 600 --check BENCH_scale.json --spill
+//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 600 --check BENCH_scale.json
 //! # fault-injection tier: deterministic stream with planned malformed
 //! # deltas, induced apply panics and publish failures:
 //! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --delta-stream --faults BENCH_fault.json
@@ -24,12 +23,15 @@
 //! mode the corpus size is read from the committed file, the pipeline
 //! re-runs, and the process exits non-zero if any deterministic count
 //! (candidates, edges, partitions, mappings, and the coherence funnel's
-//! sketch rejects, list probes and memo pairs) drifted, or if the memo's
+//! sketch rejects, list probes and memo pairs) drifted, if the memo's
 //! filter counters (`memo_candidate_pairs`, `memo_dp_calls`) **exceed**
-//! their committed ceilings (a silent prefilter regression) — timings
-//! are machine-dependent and informational only. In `--tables N` mode
-//! the binary runs the **streaming** synthesis pipeline (the corpus is
-//! generated table-by-table, never materialized) at each point —
+//! their committed ceilings (a silent prefilter regression), or if any
+//! method's Figure 7 F/P/R (the `fig7` block: the twelve-method
+//! comparison on the default 4000-table experiment corpus, three
+//! decimals) moved — timings are machine-dependent and informational
+//! only. In `--tables N` mode the binary runs the **streaming**
+//! synthesis pipeline (the corpus is generated table-by-table, never
+//! materialized) at each point —
 //! `N/4`, `N/2` and `N` tables unless `--points` lists them — each
 //! point in a child process so its peak-RSS reading is isolated, and
 //! writes a `scale_detail` block with per-stage wall-clock, per-stage
@@ -40,8 +42,11 @@
 //! wall-clock ceilings (`ceil_extraction_ms`, `ceil_blocking_ms`)
 //! carry a 4× machine-variance margin.
 
+#![forbid(unsafe_code)]
+
 use mapsynth::pipeline::{PipelineConfig, Resolver, SynthesisSession};
 use mapsynth_bench::{bench_corpus, bench_delta, bench_stream, peak_rss_kb};
+use mapsynth_eval::experiments::{comparison, ExpConfig};
 use mapsynth_serve::{DeltaPublishStats, MappingService, SnapshotBuilder};
 use std::time::Instant;
 
@@ -265,6 +270,43 @@ fn scale_point_block(json: &str, tables: usize) -> Option<&str> {
     }
 }
 
+/// Pull a string field out of a baseline JSON snippet (same text-scan
+/// approach as [`json_int`]).
+fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": \"");
+    let at = json.find(&needle)? + needle.len();
+    let rest = &json[at..];
+    Some(&rest[..rest.find('"')?])
+}
+
+/// Figure 7 — the twelve-method comparison on the default experiment
+/// corpus (4000 tables, seed 42): `(method, "F/P/R")` per method at
+/// the three decimals the paper's table reports.
+fn fig7_rows() -> Vec<(&'static str, String)> {
+    comparison::compare(&ExpConfig::default())
+        .methods
+        .iter()
+        .map(|m| {
+            let fpr = format!(
+                "{:.3}/{:.3}/{:.3}",
+                m.mean.f,
+                m.reported_precision(),
+                m.mean.recall
+            );
+            (m.method.name(), fpr)
+        })
+        .collect()
+}
+
+/// Render [`fig7_rows`] as the `fig7` JSON object.
+fn render_fig7(rows: &[(&'static str, String)]) -> String {
+    let fields: Vec<String> = rows
+        .iter()
+        .map(|(method, fpr)| format!("    \"{method}\": \"{fpr}\""))
+        .collect();
+    format!("{{\n{}\n  }}", fields.join(",\n"))
+}
+
 /// `--tables N --check FILE`: re-measure the single committed scale
 /// point at `N` tables and fail on exact-count drift (candidates,
 /// edges, mappings) or on any committed ceiling being exceeded —
@@ -272,13 +314,13 @@ fn scale_point_block(json: &str, tables: usize) -> Option<&str> {
 /// `ceil_memo_candidate_pairs`, `ceil_memo_dp_calls`,
 /// `ceil_coh_list_probes`) and the margin-carrying wall-clock
 /// ceilings (`ceil_extraction_ms`, `ceil_blocking_ms`).
-fn check_scale_point(tables: usize, path: &str, spill: bool) -> ! {
+fn check_scale_point(tables: usize, path: &str) -> ! {
     let committed = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read scale baseline {path}: {e}"));
     let block = scale_point_block(&committed, tables)
         .unwrap_or_else(|| panic!("no committed scale point with \"tables\": {tables} in {path}"));
 
-    let p = measure_scale_point(tables, spill);
+    let p = measure_scale_point(tables);
     let mut drifted = false;
     let exact = [
         ("candidates", p.candidates as i64),
@@ -930,6 +972,27 @@ fn check_against(path: &str) -> ! {
         }
     }
 
+    // Figure 7: every method's F/P/R exactly as committed.
+    let fig7 = committed
+        .find("\"fig7\":")
+        .map(|at| &committed[at..])
+        .map(|rest| &rest[..rest.find('}').unwrap_or(rest.len())]);
+    for (method, actual) in fig7_rows() {
+        match fig7.and_then(|block| json_str(block, method)) {
+            Some(expected) if expected == actual => {
+                eprintln!("check fig7 {method}: {actual} (ok)");
+            }
+            Some(expected) => {
+                eprintln!("check fig7 {method}: expected {expected}, got {actual} (DRIFT)");
+                drifted = true;
+            }
+            None => {
+                eprintln!("check fig7 {method}: missing from baseline, got {actual} (DRIFT)");
+                drifted = true;
+            }
+        }
+    }
+
     // Golden post-delta edge dump: byte-identical or drift.
     match std::fs::read_to_string(GOLDEN_PATH) {
         Ok(golden) => {
@@ -993,7 +1056,7 @@ struct ScalePoint {
     vmhwm_peak_mb: f64,
     /// `VmRSS` when the run finished — unlike the watermarks this
     /// drops as stages release memory, so peak − end is the
-    /// transient (spillable) share of the footprint.
+    /// transient share of the footprint.
     vmrss_end_mb: f64,
 }
 
@@ -1007,26 +1070,16 @@ const MS_CEILING_MARGIN: f64 = 4.0;
 /// materialized — the whole reason peak RSS stays sublinear), run the
 /// streaming prepare with the stage probe sampling `VmHWM`, then the
 /// synthesis tail. Serving/delta stages are skipped: this tier is
-/// about how extraction, blocking, and the match memo *grow*. With
-/// `spill`, the sharded value-space and blocking builds stream their
-/// shard artifacts through a temp directory (bit-identical outputs;
-/// only the RSS watermarks move).
-fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
+/// about how extraction, blocking, and the match memo *grow*.
+fn measure_scale_point(tables: usize) -> ScalePoint {
     let mb = |kb: u64| kb as f64 / 1024.0;
     let rss_start = peak_rss_kb();
     let mut stream = bench_stream(tables);
-    let mut cfg = PipelineConfig::default();
-    let spill_dir = spill
-        .then(|| std::env::temp_dir().join(format!("mapsynth-scale-spill-{}", std::process::id())));
-    cfg.spill_dir = spill_dir.clone();
-    let mut session = SynthesisSession::new(cfg);
+    let mut session = SynthesisSession::new(PipelineConfig::default());
     let mut stage_rss: Vec<(&'static str, u64)> = Vec::new();
     session.prepare_streaming_with(&mut stream, |stage| stage_rss.push((stage, peak_rss_kb())));
     let run = session.synthesize(&session.config().synthesis.clone(), Resolver::Algorithm4);
     let peak = peak_rss_kb();
-    if let Some(dir) = &spill_dir {
-        std::fs::remove_dir_all(dir).ok();
-    }
 
     let rss_of = |stage: &str| {
         stage_rss
@@ -1063,11 +1116,10 @@ fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
         vmrss_end_mb: mb(mapsynth_bench::current_rss_kb()),
     };
     eprintln!(
-        "scale {} tables{}: {} blocked pairs, {} memo candidate pairs, {} dp calls, \
+        "scale {} tables: {} blocked pairs, {} memo candidate pairs, {} dp calls, \
          {} sketch rejects / {} list probes / {} memo pairs, extraction {:.1}ms, \
          blocking {:.1}ms, peak rss {:.1}MB",
         tables,
-        if spill { " (spill)" } else { "" },
         point.blocking_pairs,
         point.memo.candidate_pairs,
         point.memo.dp_calls,
@@ -1126,17 +1178,13 @@ fn render_point(p: &ScalePoint) -> String {
 /// The scale tier driver: one child process per point (so each point's
 /// `VmHWM` watermark is its own, not inherited from a bigger earlier
 /// point), assembling the children's stdout blocks into `scale_detail`.
-fn scale_stage(points: &[usize], spill: bool) -> Vec<String> {
+fn scale_stage(points: &[usize]) -> Vec<String> {
     let exe = std::env::current_exe().expect("current_exe");
     points
         .iter()
         .map(|&tables| {
-            let mut args = vec!["--scale-point".to_string(), tables.to_string()];
-            if spill {
-                args.push("--spill".to_string());
-            }
             let out = std::process::Command::new(&exe)
-                .args(&args)
+                .args(["--scale-point", &tables.to_string()])
                 .output()
                 .expect("spawn scale-point child");
             std::io::Write::write_all(&mut std::io::stderr(), &out.stderr).ok();
@@ -1162,8 +1210,7 @@ fn main() {
             .get(1)
             .and_then(|v| v.parse().ok())
             .expect("--scale-point needs a corpus size");
-        let spill = args.get(2).map(String::as_str) == Some("--spill");
-        let p = measure_scale_point(tables, spill);
+        let p = measure_scale_point(tables);
         print!("{}", render_point(&p));
         return;
     }
@@ -1224,7 +1271,6 @@ fn main() {
         let mut points: Option<Vec<usize>> = None;
         let mut check: Option<String> = None;
         let mut out: Option<String> = None;
-        let mut spill = false;
         let mut i = 2;
         while i < args.len() {
             match args[i].as_str() {
@@ -1246,10 +1292,6 @@ fn main() {
                     );
                     i += 2;
                 }
-                "--spill" => {
-                    spill = true;
-                    i += 1;
-                }
                 other => {
                     out = Some(other.to_string());
                     i += 1;
@@ -1257,7 +1299,7 @@ fn main() {
             }
         }
         if let Some(path) = check {
-            check_scale_point(max_tables, &path, spill);
+            check_scale_point(max_tables, &path);
         }
         let points = points.unwrap_or_else(|| {
             [max_tables / 4, max_tables / 2, max_tables]
@@ -1265,7 +1307,7 @@ fn main() {
                 .filter(|&t| t > 0)
                 .collect()
         });
-        let rows = scale_stage(&points, spill);
+        let rows = scale_stage(&points);
         let json = scale_json(max_tables, &rows);
         match out {
             Some(path) => {
@@ -1353,7 +1395,7 @@ fn main() {
     // the same state `--check` reads it in.
     let funnel = session.extraction().expect("prepared").funnel;
     let json = format!(
-        "{{\n  \"corpus_tables\": {},\n  \"candidates\": {},\n  \"edges\": {},\n  \"partitions\": {},\n  \"mappings\": {},\n  \"coh_sketch_rejects\": {},\n  \"coh_list_probes\": {},\n  \"coh_memo_pairs\": {},\n  \"stage_ms\": {{\n    \"extraction\": {:.3},\n    \"value_space\": {:.3},\n    \"graph\": {:.3},\n    \"partition\": {:.3},\n    \"conflict\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"graph_detail\": {{\n    \"blocking_ms\": {:.3},\n    \"index_build_ms\": {:.3},\n    \"approx_memo_ms\": {:.3},\n    \"merge_join_ms\": {:.3},\n    \"memo_values\": {},\n    \"memo_candidate_pairs\": {},\n    \"memo_sig_mask_rejects\": {},\n    \"memo_sig_hist_rejects\": {},\n    \"memo_dp_calls\": {},\n    \"memo_matched_pairs\": {}\n  }},\n  \"stage_peak_rss_mb\": {{\n    \"start\": {:.1},\n    \"extraction\": {:.1},\n    \"value_space\": {:.1},\n    \"scoring\": {:.1},\n    \"end\": {:.1}\n  }},\n  \"workers\": {{\n    \"requested\": {},\n    \"effective\": {},\n    \"available\": {}\n  }},\n  \"serving\": {{\n    \"shards\": {},\n    \"values\": {},\n    \"mappings\": {},\n    \"snapshot_build_ms\": {:.3},\n    \"probe_keys\": {},\n    \"lookups\": {},\n    \"single_thread_qps\": {:.0},\n    \"threads\": {},\n    \"multi_thread_qps\": {:.0},\n    \"hit_rate\": {:.3}\n  }},\n  \"delta_detail\": {{\n    \"delta_removed_tables\": {},\n    \"delta_added_tables\": {},\n    \"delta_reordered\": {},\n    \"delta_coherence_flips\": {},\n    \"delta_candidates\": {},\n    \"delta_edges\": {},\n    \"delta_partitions\": {},\n    \"delta_mappings\": {},\n    \"delta_pairs_kept\": {},\n    \"delta_pairs_added\": {},\n    \"delta_pairs_removed\": {},\n    \"delta_memo_dp_calls\": {},\n    \"delta_apply_ms\": {{\n      \"extraction\": {:.3},\n      \"values\": {:.3},\n      \"blocking\": {:.3},\n      \"scoring\": {:.3},\n      \"total\": {:.3}\n    }},\n    \"delta_synth_ms\": {:.3},\n    \"full_rebuild_ms\": {:.3},\n    \"delta_speedup\": {:.2},\n    \"delta_serve\": {{\n      \"publish_added\": {},\n      \"publish_removed\": {},\n      \"publish_unchanged\": {},\n      \"rebuilt_shards\": {},\n      \"total_shards\": {},\n      \"publish_delta_ms\": {:.3}\n    }}\n  }},\n  \"delta_stream_detail\": {},\n  \"fault_detail\": {},\n  \"recovery_detail\": {}\n}}\n",
+        "{{\n  \"corpus_tables\": {},\n  \"candidates\": {},\n  \"edges\": {},\n  \"partitions\": {},\n  \"mappings\": {},\n  \"coh_sketch_rejects\": {},\n  \"coh_list_probes\": {},\n  \"coh_memo_pairs\": {},\n  \"stage_ms\": {{\n    \"extraction\": {:.3},\n    \"value_space\": {:.3},\n    \"graph\": {:.3},\n    \"partition\": {:.3},\n    \"conflict\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"graph_detail\": {{\n    \"blocking_ms\": {:.3},\n    \"index_build_ms\": {:.3},\n    \"approx_memo_ms\": {:.3},\n    \"merge_join_ms\": {:.3},\n    \"memo_values\": {},\n    \"memo_candidate_pairs\": {},\n    \"memo_sig_mask_rejects\": {},\n    \"memo_sig_hist_rejects\": {},\n    \"memo_dp_calls\": {},\n    \"memo_matched_pairs\": {}\n  }},\n  \"stage_peak_rss_mb\": {{\n    \"start\": {:.1},\n    \"extraction\": {:.1},\n    \"value_space\": {:.1},\n    \"scoring\": {:.1},\n    \"end\": {:.1}\n  }},\n  \"workers\": {{\n    \"requested\": {},\n    \"effective\": {},\n    \"available\": {}\n  }},\n  \"serving\": {{\n    \"shards\": {},\n    \"values\": {},\n    \"mappings\": {},\n    \"snapshot_build_ms\": {:.3},\n    \"probe_keys\": {},\n    \"lookups\": {},\n    \"single_thread_qps\": {:.0},\n    \"threads\": {},\n    \"multi_thread_qps\": {:.0},\n    \"hit_rate\": {:.3}\n  }},\n  \"delta_detail\": {{\n    \"delta_removed_tables\": {},\n    \"delta_added_tables\": {},\n    \"delta_reordered\": {},\n    \"delta_coherence_flips\": {},\n    \"delta_candidates\": {},\n    \"delta_edges\": {},\n    \"delta_partitions\": {},\n    \"delta_mappings\": {},\n    \"delta_pairs_kept\": {},\n    \"delta_pairs_added\": {},\n    \"delta_pairs_removed\": {},\n    \"delta_memo_dp_calls\": {},\n    \"delta_apply_ms\": {{\n      \"extraction\": {:.3},\n      \"values\": {:.3},\n      \"blocking\": {:.3},\n      \"scoring\": {:.3},\n      \"total\": {:.3}\n    }},\n    \"delta_synth_ms\": {:.3},\n    \"full_rebuild_ms\": {:.3},\n    \"delta_speedup\": {:.2},\n    \"delta_serve\": {{\n      \"publish_added\": {},\n      \"publish_removed\": {},\n      \"publish_unchanged\": {},\n      \"rebuilt_shards\": {},\n      \"total_shards\": {},\n      \"publish_delta_ms\": {:.3}\n    }}\n  }},\n  \"delta_stream_detail\": {},\n  \"fault_detail\": {},\n  \"recovery_detail\": {},\n  \"fig7\": {}\n}}\n",
         tables,
         output.candidates,
         output.edges,
@@ -1425,6 +1467,7 @@ fn main() {
         stream_block,
         fault_block,
         recovery_block,
+        render_fig7(&fig7_rows()),
     );
     match out_path {
         Some(path) => {

@@ -14,6 +14,8 @@
 //! | `micro_scoring` | §4.1 hot path: shared `ScoringContext` vs throwaway per-pair scoring |
 //! | `apps_lookup` | §1 mapping-index containment lookup (Bloom) |
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod recovery;
 

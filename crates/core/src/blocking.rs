@@ -13,10 +13,8 @@
 
 use crate::config::SynthesisConfig;
 use crate::values::{NormBinary, ValueSpace};
-use mapsynth_corpus::{SpillReader, SpillWriter};
 use mapsynth_mapreduce::{partition_of, MapReduce};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 
 /// Statistics from blocking, used by the scalability experiments.
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,23 +43,6 @@ const KIND_NEG: u8 = 1;
 /// emit pairs among the `HUB_SAMPLE` *largest* tables: deterministic,
 /// bounded, and it guarantees cluster representatives stay connected.
 const HUB_SAMPLE: usize = 12;
-
-/// Compute candidate table pairs `(i, j)` with `i < j` (indices into
-/// the `tables` slice). A pair qualifies if it shares ≥ `θ_overlap`
-/// value-pair keys, or (when negative evidence is enabled) ≥
-/// `θ_overlap` left-value keys.
-///
-/// Thin wrapper over [`BlockingIndex::build`] that discards the
-/// reusable index state.
-pub fn candidate_pairs(
-    space: &ValueSpace,
-    tables: &[NormBinary],
-    cfg: &SynthesisConfig,
-    mr: &MapReduce,
-) -> (Vec<(u32, u32)>, BlockingStats) {
-    let (_, pairs, stats) = BlockingIndex::build(space, tables, cfg, mr);
-    (pairs, stats)
-}
 
 /// The blocking keys one table contributes, deduplicated (pairs are
 /// sorted by class, so distinct keys are consecutive runs). The single
@@ -116,46 +97,6 @@ type ShardOut = (
     HashMap<(u32, u32, u8), u32>,
 );
 
-/// Spill encoding of a shard's output as two word streams. Postings:
-/// `[kind, key1, key2, len, tis…]` per entry; pair counts:
-/// `[a, b, kind, count]` per entry. Entry order is irrelevant — the
-/// stitch inserts into hash maps, and every consumer of the maps
-/// orders its own output — so the nondeterministic map iteration here
-/// cannot leak into results.
-fn encode_shard(out: &ShardOut) -> (Vec<u32>, Vec<u32>) {
-    let (postings, pair_counts) = out;
-    let mut p = Vec::new();
-    for ((kind, a, b), tis) in postings {
-        p.extend([*kind as u32, *a, *b, tis.len() as u32]);
-        p.extend_from_slice(tis);
-    }
-    let mut c = Vec::with_capacity(pair_counts.len() * 4);
-    for ((a, b, kind), n) in pair_counts {
-        c.extend([*a, *b, *kind as u32, *n]);
-    }
-    (p, c)
-}
-
-fn decode_shard(p: &[u32], c: &[u32]) -> ShardOut {
-    let mut postings = HashMap::new();
-    let mut i = 0;
-    while i < p.len() {
-        assert!(i + 4 <= p.len(), "corrupt blocking spill: truncated entry");
-        let (kind, a, b) = (p[i] as u8, p[i + 1], p[i + 2]);
-        let len = p[i + 3] as usize;
-        i += 4;
-        assert!(i + len <= p.len(), "corrupt blocking spill: short list");
-        postings.insert((kind, a, b), p[i..i + len].to_vec());
-        i += len;
-    }
-    assert_eq!(c.len() % 4, 0, "corrupt blocking spill: odd count frame");
-    let pair_counts = c
-        .chunks_exact(4)
-        .map(|e| ((e[0], e[1], e[2] as u8), e[3]))
-        .collect();
-    (postings, pair_counts)
-}
-
 /// The maintained blocking state: the inverted index (key → posting
 /// list over live table indices) plus per-pair shared-key counts —
 /// everything needed to re-derive the qualifying candidate-pair set
@@ -180,26 +121,16 @@ pub struct BlockingIndex {
 }
 
 impl BlockingIndex {
-    /// Build the blocking index, qualifying pairs, and stats. Since
-    /// PR 6 this delegates to [`build_sharded`](Self::build_sharded)
-    /// with one shard per worker; the original two-job Map-Reduce
-    /// formulation survives as
-    /// [`build_unsharded`](Self::build_unsharded), the oracle both
-    /// paths are tested against. Results are identical for any worker
-    /// or shard count.
-    pub fn build(
-        space: &ValueSpace,
-        tables: &[NormBinary],
-        cfg: &SynthesisConfig,
-        mr: &MapReduce,
-    ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
-        Self::build_sharded(space, tables, cfg, mr, mr.workers())
-    }
-
-    /// Sharded build: partition blocking keys by hash (the same FNV-1a
-    /// partitioner the shuffle uses) into `shards` independent groups,
-    /// build each shard's posting lists and pair contributions in
-    /// parallel, then stitch.
+    /// Build the blocking index and return it with the qualifying
+    /// candidate pairs `(i, j)`, `i < j` (indices into `tables`), and
+    /// stats. A pair qualifies if it shares ≥ `θ_overlap` value-pair
+    /// keys, or (when negative evidence is enabled) ≥ `θ_overlap`
+    /// left-value keys.
+    ///
+    /// The build is sharded, one shard per worker: blocking keys are
+    /// partitioned by hash (the same FNV-1a partitioner the shuffle
+    /// uses) into independent groups, each shard's posting lists and
+    /// pair contributions are built in parallel, then stitched.
     ///
     /// Stitching is trivial because the decomposition is exact: every
     /// key lives in exactly one shard, so per-shard posting maps are
@@ -207,34 +138,16 @@ impl BlockingIndex {
     /// keys in different shards, so pair counts sum. Bucketing scans
     /// tables in ascending index order, which keeps every posting list
     /// ti-ascending by plain push. The stored maps therefore hold
-    /// exactly the content the unsharded reference produces, for any
-    /// shard or worker count.
-    pub fn build_sharded(
+    /// exactly the content of the unsharded two-job Map-Reduce
+    /// formulation (the reference the unit tests compare against), for
+    /// any worker count.
+    pub fn build(
         space: &ValueSpace,
         tables: &[NormBinary],
         cfg: &SynthesisConfig,
         mr: &MapReduce,
-        shards: usize,
     ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
-        Self::build_spillable(space, tables, cfg, mr, shards, None)
-    }
-
-    /// [`build_sharded`](Self::build_sharded) with optional shard
-    /// spilling: when `spill` names a directory, each shard streams its
-    /// posting lists and pair counts through the binary spill format
-    /// and drops them before the stitch re-reads shards one at a time,
-    /// bounding residency by the largest shard. Spill files are deleted
-    /// as they are consumed; output is bit-identical to the in-memory
-    /// build.
-    pub fn build_spillable(
-        space: &ValueSpace,
-        tables: &[NormBinary],
-        cfg: &SynthesisConfig,
-        mr: &MapReduce,
-        shards: usize,
-        spill: Option<&Path>,
-    ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
-        let shards = shards.max(1);
+        let shards = mr.workers().max(1);
         // Stage 1 — per-table blocking keys, in parallel
         // (order-preserving, so stage 2 sees tables in index order).
         let keys_per_table: Vec<Vec<(u8, u32, u32)>> =
@@ -250,9 +163,6 @@ impl BlockingIndex {
         drop(keys_per_table);
         let sizes: Vec<u32> = tables.iter().map(|t| t.len() as u32).collect();
         // Stage 3 — per-shard posting lists and pair contributions.
-        // The shard body is shared verbatim by the in-memory and
-        // spilling paths — that sharing is what keeps them
-        // bit-identical.
         let sizes_ref = &sizes;
         let shard_out = |bucket: &ShardBucket| -> ShardOut {
             let mut postings: HashMap<(u8, u32, u32), Vec<u32>> = HashMap::new();
@@ -275,117 +185,15 @@ impl BlockingIndex {
         // sum across shards.
         let mut postings: HashMap<(u8, u32, u32), Vec<u32>> = HashMap::new();
         let mut pair_counts: HashMap<(u32, u32, u8), u32> = HashMap::new();
-        let mut stitch = |(p, c): ShardOut| {
+        for (p, c) in mr.par_map(&buckets, shard_out) {
             postings.extend(p);
             for (pair, n) in c {
                 *pair_counts.entry(pair).or_insert(0) += n;
-            }
-        };
-        match spill {
-            None => {
-                for out in mr.par_map(&buckets, |bucket| shard_out(bucket)) {
-                    stitch(out);
-                }
-            }
-            Some(dir) => {
-                std::fs::create_dir_all(dir).expect("spill directory must be creatable");
-                let paths: Vec<PathBuf> = (0..shards)
-                    .map(|s| dir.join(format!("blocking-shard-{s}.spill")))
-                    .collect();
-                let paths_ref = &paths;
-                let buckets_ref = &buckets;
-                let shard_ids: Vec<usize> = (0..shards).collect();
-                // Each worker writes its shard's two frames (postings,
-                // pair counts) and drops them before returning.
-                let written: Vec<std::io::Result<()>> = mr.par_map(&shard_ids, |&s| {
-                    let out = shard_out(&buckets_ref[s]);
-                    let (p, c) = encode_shard(&out);
-                    drop(out);
-                    let mut w = SpillWriter::create(&paths_ref[s])?;
-                    w.write_frame(&p)?;
-                    w.write_frame(&c)?;
-                    w.finish()
-                });
-                for r in written {
-                    r.expect("blocking shard spill failed");
-                }
-                drop(buckets);
-                // Stream shards back one at a time, deleting each file
-                // once consumed.
-                for path in &paths {
-                    let mut r = SpillReader::open(path).expect("blocking spill file must reopen");
-                    let p = r
-                        .next_frame()
-                        .expect("blocking spill read failed")
-                        .expect("blocking spill file missing its postings frame");
-                    let c = r
-                        .next_frame()
-                        .expect("blocking spill read failed")
-                        .expect("blocking spill file missing its pair-count frame");
-                    stitch(decode_shard(&p, &c));
-                    std::fs::remove_file(path).ok();
-                }
             }
         }
         let index = Self {
             postings,
             pair_counts,
-            sizes,
-        };
-        let (pairs, stats) = index.qualifying_pairs(cfg);
-        (index, pairs, stats)
-    }
-
-    /// The unsharded two-job Map-Reduce build — the reference
-    /// implementation [`build_sharded`](Self::build_sharded) must match
-    /// bit-for-bit (kept as the oracle for the shard-invariance tests).
-    pub fn build_unsharded(
-        space: &ValueSpace,
-        tables: &[NormBinary],
-        cfg: &SynthesisConfig,
-        mr: &MapReduce,
-    ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
-        // Job 1 — inverted index: (kind, key) → posting list.
-        let indexed: Vec<(u32, &NormBinary)> = tables
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| (ti as u32, t))
-            .collect();
-        let postings: Vec<((u8, u32, u32), Vec<u32>)> = mr.run(
-            &indexed,
-            |&(ti, t)| {
-                table_keys(space, t, cfg)
-                    .into_iter()
-                    .map(|k| (k, ti))
-                    .collect()
-            },
-            // Values arrive in input order (ascending table index); a
-            // table emits each key at most once, so the list is
-            // already deduped.
-            |_key, tis| tis,
-        );
-
-        let sizes: Vec<u32> = tables.iter().map(|t| t.len() as u32).collect();
-
-        // Job 2 — pair counting: (a, b, kind) → shared-key count. The
-        // per-worker combiner pre-sums counts during the map phase, so
-        // shuffle size is bounded by distinct pairs (× workers), not
-        // by total key co-occurrences.
-        let sizes_ref = &sizes;
-        let counted: Vec<((u32, u32, u8), u32)> = mr.run_combining(
-            &postings,
-            |((kind, _, _), tis)| {
-                let mut out = Vec::new();
-                contribution(tis, *kind, sizes_ref, cfg.max_key_fanout, &mut out);
-                out.into_iter().map(|p| (p, 1u32)).collect()
-            },
-            |acc, v| *acc += v,
-            |_pair, counts| counts.iter().sum::<u32>(),
-        );
-
-        let index = Self {
-            postings: postings.into_iter().collect(),
-            pair_counts: counted.into_iter().collect(),
             sizes,
         };
         let (pairs, stats) = index.qualifying_pairs(cfg);
@@ -601,6 +409,63 @@ mod tests {
     use mapsynth_corpus::{BinaryId, BinaryTable, Corpus, TableId};
     use mapsynth_mapreduce::MapReduce;
     use mapsynth_text::SynonymDict;
+    use proptest::prelude::*;
+
+    /// The unsharded two-job Map-Reduce build — the reference
+    /// [`BlockingIndex::build`] must match bit-for-bit, stored state
+    /// included, for every worker count.
+    fn build_unsharded(
+        space: &ValueSpace,
+        tables: &[NormBinary],
+        cfg: &SynthesisConfig,
+        mr: &MapReduce,
+    ) -> (BlockingIndex, Vec<(u32, u32)>, BlockingStats) {
+        // Job 1 — inverted index: (kind, key) → posting list.
+        let indexed: Vec<(u32, &NormBinary)> = tables
+            .iter()
+            .enumerate()
+            .map(|(ti, t)| (ti as u32, t))
+            .collect();
+        let postings: Vec<((u8, u32, u32), Vec<u32>)> = mr.run(
+            &indexed,
+            |&(ti, t)| {
+                table_keys(space, t, cfg)
+                    .into_iter()
+                    .map(|k| (k, ti))
+                    .collect()
+            },
+            // Values arrive in input order (ascending table index); a
+            // table emits each key at most once, so the list is
+            // already deduped.
+            |_key, tis| tis,
+        );
+
+        let sizes: Vec<u32> = tables.iter().map(|t| t.len() as u32).collect();
+
+        // Job 2 — pair counting: (a, b, kind) → shared-key count. The
+        // per-worker combiner pre-sums counts during the map phase, so
+        // shuffle size is bounded by distinct pairs (× workers), not
+        // by total key co-occurrences.
+        let sizes_ref = &sizes;
+        let counted: Vec<((u32, u32, u8), u32)> = mr.run_combining(
+            &postings,
+            |((kind, _, _), tis)| {
+                let mut out = Vec::new();
+                contribution(tis, *kind, sizes_ref, cfg.max_key_fanout, &mut out);
+                out.into_iter().map(|p| (p, 1u32)).collect()
+            },
+            |acc, v| *acc += v,
+            |_pair, counts| counts.iter().sum::<u32>(),
+        );
+
+        let index = BlockingIndex {
+            postings: postings.into_iter().collect(),
+            pair_counts: counted.into_iter().collect(),
+            sizes,
+        };
+        let (pairs, stats) = index.qualifying_pairs(cfg);
+        (index, pairs, stats)
+    }
 
     fn setup(tables: Vec<Vec<(&str, &str)>>) -> (std::sync::Arc<ValueSpace>, Vec<NormBinary>) {
         let mut corpus = Corpus::new();
@@ -616,12 +481,13 @@ mod tests {
                 BinaryTable::new(BinaryId(i as u32), TableId(i as u32), d, 0, 1, syms)
             })
             .collect();
-        build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
             &MapReduce::new(2),
-        )
+        );
+        (space, tables)
     }
 
     #[test]
@@ -631,8 +497,8 @@ mod tests {
             vec![("a", "1"), ("b", "2"), ("d", "4")],
             vec![("x", "9"), ("y", "8"), ("z", "7")],
         ]);
-        let (pairs, stats) =
-            candidate_pairs(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
+        let (_, pairs, stats) =
+            BlockingIndex::build(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
         assert_eq!(pairs, vec![(0, 1)]);
         assert!(stats.pos_keys >= 7);
     }
@@ -646,10 +512,11 @@ mod tests {
             vec![("a", "9"), ("b", "8"), ("c", "7")],
         ]);
         let cfg = SynthesisConfig::default();
-        let (pairs, _) = candidate_pairs(&space, &t, &cfg, &MapReduce::new(2));
+        let (_, pairs, _) = BlockingIndex::build(&space, &t, &cfg, &MapReduce::new(2));
         assert_eq!(pairs, vec![(0, 1)]);
         // Without negative evidence the pair is not needed.
-        let (pairs, _) = candidate_pairs(&space, &t, &cfg.without_negative(), &MapReduce::new(2));
+        let (_, pairs, _) =
+            BlockingIndex::build(&space, &t, &cfg.without_negative(), &MapReduce::new(2));
         assert!(pairs.is_empty());
     }
 
@@ -660,14 +527,14 @@ mod tests {
             vec![("a", "1"), ("y", "8"), ("z", "7")],
         ]);
         // shares exactly one pair and one left < θ_overlap = 2
-        let (pairs, _) =
-            candidate_pairs(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
+        let (_, pairs, _) =
+            BlockingIndex::build(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
         assert!(pairs.is_empty());
         let cfg = SynthesisConfig {
             theta_overlap: 1,
             ..Default::default()
         };
-        let (pairs, _) = candidate_pairs(&space, &t, &cfg, &MapReduce::new(2));
+        let (_, pairs, _) = BlockingIndex::build(&space, &t, &cfg, &MapReduce::new(2));
         assert_eq!(pairs, vec![(0, 1)]);
     }
 
@@ -692,7 +559,7 @@ mod tests {
             max_key_fanout: 4,
             ..Default::default()
         };
-        let (pairs, stats) = candidate_pairs(&space, &t, &cfg, &MapReduce::new(2));
+        let (_, pairs, stats) = BlockingIndex::build(&space, &t, &cfg, &MapReduce::new(2));
         assert!(stats.capped_keys >= 2);
         // The two hubs (indices 20, 21) must be paired.
         assert!(pairs.contains(&(20, 21)), "hub pair missing: {pairs:?}");
@@ -700,10 +567,26 @@ mod tests {
         assert!(pairs.len() < 100, "{} pairs", pairs.len());
     }
 
+    /// Compare a build's full state against the unsharded reference.
+    fn assert_matches_reference(
+        (index, pairs, stats): &(BlockingIndex, Vec<(u32, u32)>, BlockingStats),
+        (ref_index, ref_pairs, ref_stats): &(BlockingIndex, Vec<(u32, u32)>, BlockingStats),
+        workers: usize,
+    ) {
+        assert_eq!(pairs, ref_pairs, "workers {workers}");
+        assert_eq!(stats.pairs, ref_stats.pairs);
+        assert_eq!(stats.pos_keys, ref_stats.pos_keys);
+        assert_eq!(stats.neg_keys, ref_stats.neg_keys);
+        assert_eq!(stats.capped_keys, ref_stats.capped_keys);
+        assert_eq!(index.postings, ref_index.postings);
+        assert_eq!(index.pair_counts, ref_index.pair_counts);
+        assert_eq!(index.sizes, ref_index.sizes);
+    }
+
     /// The sharded build must reproduce the unsharded reference
     /// bit-for-bit — not just the qualifying pairs but the full stored
-    /// state (postings, pair counts, sizes) — for every shard and
-    /// worker count, hot keys included.
+    /// state (postings, pair counts, sizes) — for every worker (= shard)
+    /// count, hot keys included.
     #[test]
     fn sharded_build_matches_unsharded_reference() {
         let small = vec![("hot", "1"), ("hot2", "2")];
@@ -717,61 +600,16 @@ mod tests {
             max_key_fanout: 4,
             ..Default::default()
         };
-        for workers in [1usize, 2, 8] {
+        let reference = build_unsharded(&space, &t, &cfg, &MapReduce::new(1));
+        for workers in [1usize, 2, 3, 8] {
             let mr = MapReduce::new(workers);
-            let (ref_index, ref_pairs, ref_stats) =
-                BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
-            for shards in [1usize, 2, 8] {
-                let (index, pairs, stats) =
-                    BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards);
-                assert_eq!(pairs, ref_pairs, "workers {workers} shards {shards}");
-                assert_eq!(stats.pairs, ref_stats.pairs);
-                assert_eq!(stats.pos_keys, ref_stats.pos_keys);
-                assert_eq!(stats.neg_keys, ref_stats.neg_keys);
-                assert_eq!(stats.capped_keys, ref_stats.capped_keys);
-                assert_eq!(index.postings, ref_index.postings);
-                assert_eq!(index.pair_counts, ref_index.pair_counts);
-                assert_eq!(index.sizes, ref_index.sizes);
-            }
+            assert_matches_reference(&build_unsharded(&space, &t, &cfg, &mr), &reference, workers);
+            assert_matches_reference(
+                &BlockingIndex::build(&space, &t, &cfg, &mr),
+                &reference,
+                workers,
+            );
         }
-    }
-
-    /// The spilling build (shards written to disk and streamed back at
-    /// stitch) must reproduce the in-memory build's full stored state
-    /// for every shard count, hot keys included.
-    #[test]
-    fn spilled_build_matches_in_memory() {
-        let small = vec![("hot", "1"), ("hot2", "2")];
-        let mut rows: Vec<Vec<(&str, &str)>> = (0..12).map(|_| small.clone()).collect();
-        rows.push(vec![("hot", "1"), ("hot2", "2"), ("x", "3"), ("y", "4")]);
-        rows.push(vec![("hot", "1"), ("x", "3"), ("y", "4"), ("z", "5")]);
-        rows.push(vec![("p", "7"), ("q", "8")]);
-        rows.push(vec![("p", "7"), ("q", "8"), ("r", "9")]);
-        let (space, t) = setup(rows);
-        let cfg = SynthesisConfig {
-            max_key_fanout: 4,
-            ..Default::default()
-        };
-        let mr = MapReduce::new(2);
-        let dir = std::env::temp_dir().join(format!(
-            "mapsynth-blocking-spill-test-{}",
-            std::process::id()
-        ));
-        for shards in [1usize, 2, 8] {
-            let (ref_index, ref_pairs, ref_stats) =
-                BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards);
-            let (index, pairs, stats) =
-                BlockingIndex::build_spillable(&space, &t, &cfg, &mr, shards, Some(&dir));
-            assert_eq!(pairs, ref_pairs, "shards {shards}");
-            assert_eq!(stats.pairs, ref_stats.pairs);
-            assert_eq!(stats.capped_keys, ref_stats.capped_keys);
-            assert_eq!(index.postings, ref_index.postings);
-            assert_eq!(index.pair_counts, ref_index.pair_counts);
-            assert_eq!(index.sizes, ref_index.sizes);
-            let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-            assert_eq!(leftover, 0, "spill files must be deleted after the stitch");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A sharded-built index feeds the delta path exactly like the
@@ -788,16 +626,77 @@ mod tests {
         ];
         let (space, t) = setup(rows);
         let cfg = SynthesisConfig::default();
-        let mr = MapReduce::new(2);
-        let (fresh, fresh_pairs, _) = BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
-        for shards in [1usize, 2, 8] {
+        let (fresh, fresh_pairs, _) = build_unsharded(&space, &t, &cfg, &MapReduce::new(2));
+        for workers in [1usize, 2, 3, 8] {
             let (mut index, _, _) =
-                BlockingIndex::build_sharded(&space, &t[..3], &cfg, &mr, shards);
+                BlockingIndex::build(&space, &t[..3], &cfg, &MapReduce::new(workers));
             index.sizes.resize(t.len(), 0);
             let (pairs, _) = index.apply_delta(&space, &t, &[3, 4], &[], &cfg);
-            assert_eq!(pairs, fresh_pairs, "shards {shards}");
+            assert_eq!(pairs, fresh_pairs, "workers {workers}");
             assert_eq!(index.postings, fresh.postings);
             assert_eq!(index.pair_counts, fresh.pair_counts);
+        }
+    }
+
+    /// Generated candidate rows: per table a relation selector and a set
+    /// of entities. Codes derive from `(relation, entity)`, so tables of
+    /// one relation share many blocking keys while different relations
+    /// conflict on shared entities (negative keys).
+    fn generated_rows(gen: &[(u8, Vec<u8>)]) -> Vec<Vec<(String, String)>> {
+        gen.iter()
+            .map(|(relation, entities)| {
+                entities
+                    .iter()
+                    .map(|&e| {
+                        let code = (e as u16 * 7 + *relation as u16 * 13) % 8;
+                        (format!("entity {e}"), format!("code {code}"))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// For any generated candidate set and any worker count, the
+        /// sharded build equals the unsharded reference, and an index
+        /// built over a prefix then fed the suffix through `apply_delta`
+        /// lands on the reference's pairs.
+        #[test]
+        fn prop_sharded_build_matches_reference(
+            gen in proptest::collection::vec(
+                (0u8..3, proptest::collection::btree_map(0u8..12, 0u8..1, 4..9)
+                    .prop_map(|m| m.into_keys().collect::<Vec<u8>>())),
+                4..10,
+            ),
+            split_sel in 1usize..4,
+        ) {
+            let rows = generated_rows(&gen);
+            let (space, t) = setup(
+                rows.iter()
+                    .map(|r| r.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect())
+                    .collect(),
+            );
+            let cfg = SynthesisConfig::default();
+            let (_, ref_pairs, ref_stats) = build_unsharded(&space, &t, &cfg, &MapReduce::new(1));
+            // Every generated table has ≥ 4 distinct lefts, so all survive
+            // projection and the split leaves both halves non-empty.
+            let k = (t.len() * split_sel / 4).clamp(1, t.len() - 1);
+            for workers in [1usize, 2, 3, 8] {
+                let mr = MapReduce::new(workers);
+                let (_, pairs, stats) = BlockingIndex::build(&space, &t, &cfg, &mr);
+                prop_assert_eq!(&pairs, &ref_pairs, "pairs diverged at {} workers", workers);
+                prop_assert_eq!(stats.pairs, ref_stats.pairs);
+                prop_assert_eq!(stats.pos_keys, ref_stats.pos_keys);
+                prop_assert_eq!(stats.neg_keys, ref_stats.neg_keys);
+                prop_assert_eq!(stats.capped_keys, ref_stats.capped_keys);
+
+                let (mut index, _, _) = BlockingIndex::build(&space, &t[..k], &cfg, &mr);
+                let added: Vec<u32> = (k as u32..t.len() as u32).collect();
+                let (delta_pairs, _) = index.apply_delta(&space, &t, &added, &[], &cfg);
+                prop_assert_eq!(&delta_pairs, &ref_pairs,
+                    "post-delta pairs diverged at {} workers", workers);
+            }
         }
     }
 
@@ -805,8 +704,8 @@ mod tests {
     fn pairs_sorted_and_unique() {
         let rows = vec![("a", "1"), ("b", "2"), ("c", "3")];
         let (space, t) = setup((0..5).map(|_| rows.clone()).collect());
-        let (pairs, _) =
-            candidate_pairs(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
+        let (_, pairs, _) =
+            BlockingIndex::build(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
         assert_eq!(pairs.len(), 10); // C(5,2)
         let mut sorted = pairs.clone();
         sorted.sort_unstable();

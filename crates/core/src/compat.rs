@@ -983,12 +983,13 @@ mod tests {
                 BinaryTable::new(BinaryId(i as u32), TableId(i as u32), d, 0, 1, syms)
             })
             .collect();
-        build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
             &MapReduce::new(2),
-        )
+        );
+        (space, tables)
     }
 
     /// Paper Table 8 / Examples 7–9: B1 (IOC), B2 (IOC with synonyms),
@@ -1249,7 +1250,7 @@ mod prop_tests {
                 BinaryTable::new(BinaryId(i), TableId(i), d, 0, 1, syms)
             };
             let cands = vec![mk(&mut corpus, 0, &a), mk(&mut corpus, 1, &b)];
-            let (space, tables) = build_value_space(&corpus.interner, &cands, &SynonymDict::new(), &MapReduce::new(2));
+            let (space, tables, _) = build_value_space(&corpus.interner, &cands, &SynonymDict::new(), &MapReduce::new(2));
             prop_assume!(tables.len() == 2);
             let cfg = SynthesisConfig::default();
             let w = score_pair(&space, &tables[0], &tables[1], &cfg);
@@ -1344,7 +1345,9 @@ mod oracle_tests {
             dict.declare(&left_str(1, 0), &left_str(1, 1));
             dict.declare(&right_str(1, 0), &right_str(1, 1));
         }
-        build_value_space(&corpus.interner, &cands, &dict, &MapReduce::new(2))
+        let (space, tables, _) =
+            build_value_space(&corpus.interner, &cands, &dict, &MapReduce::new(2));
+        (space, tables)
     }
 
     proptest! {

@@ -202,7 +202,9 @@ mod tests {
                 BinaryTable::new(BinaryId(i as u32), TableId(i as u32), d, 0, 1, syms)
             })
             .collect();
-        build_value_space(&corpus.interner, &cands, &dict, &MapReduce::new(2))
+        let (space, tables, _) =
+            build_value_space(&corpus.interner, &cands, &dict, &MapReduce::new(2));
+        (space, tables)
     }
 
     fn setup(tables: Vec<Vec<(&str, &str)>>) -> (std::sync::Arc<ValueSpace>, Vec<NormBinary>) {

@@ -84,7 +84,7 @@ use crate::blocking::BlockingIndex;
 use crate::compat::{MatchCounts, PairWeights};
 use crate::session::SynthesisSession;
 use crate::values::{
-    extend_value_space, grow_value_space_sharded, project_candidate_at, NormBinary, ValueInterning,
+    extend_value_space, grow_value_space, project_candidate_at, NormBinary, ValueInterning,
 };
 use mapsynth_corpus::{BinaryTable, Corpus, RowPatch, TableId};
 use mapsynth_extract::ExtractionCache;
@@ -578,6 +578,12 @@ impl PortableTable {
     }
 }
 
+/// The invariant behind every artifact access past validation:
+/// [`SynthesisSession::apply_delta`] rejects an unprepared session with
+/// [`DeltaError::NotPrepared`] before mutating anything, and a prepared
+/// session holds all four stage artifacts.
+const PREPARED: &str = "validate_delta checked that every stage artifact is present";
+
 /// Everything [`SynthesisSession::apply_delta`] needs beyond the stage
 /// artifacts themselves. Built during `prepare`, advanced per delta.
 #[derive(Clone)]
@@ -659,7 +665,11 @@ impl SynthesisSession {
     /// mutating path cannot reject the delta (only an internal
     /// invariant break — contained separately — could still fail it).
     fn validate_delta(&self, corpus: &Corpus, delta: &CorpusDelta) -> Result<(), DeltaError> {
-        if self.scores.is_none() || self.incr.is_none() {
+        if self.extraction.is_none()
+            || self.values.is_none()
+            || self.scores.is_none()
+            || self.incr.is_none()
+        {
             return Err(DeltaError::NotPrepared);
         }
         let incr = self.incr.as_ref().expect("checked above");
@@ -736,7 +746,7 @@ impl SynthesisSession {
             ..Default::default()
         };
         {
-            let incr = self.incr.as_mut().unwrap();
+            let incr = self.incr.as_mut().expect(PREPARED);
             incr.alive_tables.resize(corpus.len(), true);
             for &tid in &delta.removed {
                 incr.alive_tables[tid.0 as usize] = false;
@@ -747,12 +757,12 @@ impl SynthesisSession {
         let live_before = self
             .incr
             .as_ref()
-            .unwrap()
+            .expect(PREPARED)
             .extraction_cache
             .live_candidates();
         let t = Instant::now();
         let ex = {
-            let incr = self.incr.as_mut().unwrap();
+            let incr = self.incr.as_mut().expect(PREPARED);
             incr.extraction_cache.apply_delta(
                 corpus,
                 &delta.added,
@@ -784,27 +794,26 @@ impl SynthesisSession {
         // Stage 2 — append-only value-space growth, in-place
         // re-projection of row-patched candidates, tombstoning.
         let t = Instant::now();
-        let idx_base = self.extraction.as_ref().unwrap().candidates.len() as u32;
+        let idx_base = self.extraction.as_ref().expect(PREPARED).candidates.len() as u32;
         debug_assert!(ex
             .added
             .iter()
             .enumerate()
             .all(|(k, c)| c.id.0 as usize == idx_base as usize + k));
         let (grown_space, replaced_proj, added_proj) = {
-            let incr = self.incr.as_mut().unwrap();
-            let values = self.values.as_ref().unwrap();
+            let incr = self.incr.as_mut().expect(PREPARED);
+            let values = self.values.as_ref().expect(PREPARED);
             let mut to_intern: Vec<BinaryTable> =
                 Vec::with_capacity(ex.replaced.len() + ex.added.len());
             to_intern.extend(ex.replaced.iter().cloned());
             to_intern.extend(ex.added.iter().cloned());
-            let grown = grow_value_space_sharded(
+            let grown = grow_value_space(
                 &values.space,
                 &mut incr.interning,
                 &corpus.interner,
                 &to_intern,
                 &self.synonyms,
                 &self.mr,
-                self.mr.workers(),
             );
             let replaced_proj: Vec<(u32, Option<NormBinary>)> = ex
                 .replaced
@@ -831,14 +840,14 @@ impl SynthesisSession {
         // that space must be installed first: the renumber extends it
         // rather than the pre-delta one.
         let projection_gain = {
-            let incr = self.incr.as_ref().unwrap();
+            let incr = self.incr.as_ref().expect(PREPARED);
             replaced_proj
                 .iter()
                 .any(|(id, proj)| incr.pos_of_candidate[*id as usize].is_none() && proj.is_some())
         };
         if projection_gain {
             {
-                let values = self.values.as_mut().unwrap();
+                let values = self.values.as_mut().expect(PREPARED);
                 report.new_values = grown_space.len() - values.space.len();
                 values.space = grown_space;
             }
@@ -846,7 +855,7 @@ impl SynthesisSession {
             let replaced_ids: Vec<u32> = ex.replaced.iter().map(|c| c.id.0).collect();
             self.incr
                 .as_mut()
-                .unwrap()
+                .expect(PREPARED)
                 .extraction_cache
                 .sentinel_candidates(&replaced_ids);
             self.apply_delta_reordered(corpus, &mut report, live_before, ex.replaced.len());
@@ -856,8 +865,8 @@ impl SynthesisSession {
         }
 
         let (removed_positions, added_positions, replaced_positions, swaps) = {
-            let incr = self.incr.as_mut().unwrap();
-            let values = self.values.as_mut().unwrap();
+            let incr = self.incr.as_mut().expect(PREPARED);
+            let values = self.values.as_mut().expect(PREPARED);
             report.new_values = grown_space.len() - values.space.len();
             values.space = grown_space;
             let mut removed_positions = Vec::new();
@@ -907,15 +916,15 @@ impl SynthesisSession {
             )
         };
         report.timings.values = t.elapsed();
-        self.values.as_mut().unwrap().elapsed += report.timings.values;
+        self.values.as_mut().expect(PREPARED).elapsed += report.timings.values;
 
         // Stage 3a — blocking index patch. Replaced positions
         // unregister under their old content, swap, then re-register
         // under the new content alongside the appended tables.
         let t = Instant::now();
         let (pairs, blocking_stats) = {
-            let incr = self.incr.as_mut().unwrap();
-            let values = self.values.as_mut().unwrap();
+            let incr = self.incr.as_mut().expect(PREPARED);
+            let values = self.values.as_mut().expect(PREPARED);
             let cfg = &self.cfg.synthesis;
             let mut drop_list = removed_positions.clone();
             drop_list.extend_from_slice(&replaced_positions);
@@ -941,8 +950,8 @@ impl SynthesisSession {
         // delta leaves untouched. Every pair touching a row-patched
         // table re-joins, cached or not.
         let t = Instant::now();
-        let values = self.values.as_ref().unwrap();
-        let scores = self.scores.as_mut().unwrap();
+        let values = self.values.as_ref().expect(PREPARED);
+        let scores = self.scores.as_mut().expect(PREPARED);
         let dp_before = scores.context.build_stats.memo.dp_calls;
         scores.context.patch(
             &values.space,
@@ -1026,7 +1035,7 @@ impl SynthesisSession {
         // Stage 1 artifact bookkeeping (after the value stage borrowed
         // the old candidate list length). Replaced candidates keep
         // their slot — `candidates[i].id.0 == i` stays invariant.
-        let extraction = self.extraction.as_mut().unwrap();
+        let extraction = self.extraction.as_mut().expect(PREPARED);
         for rb in ex.replaced {
             let idx = rb.id.0 as usize;
             debug_assert_eq!(extraction.candidates[idx].id, rb.id);
@@ -1038,7 +1047,7 @@ impl SynthesisSession {
         extraction.funnel = self
             .incr
             .as_ref()
-            .unwrap()
+            .expect(PREPARED)
             .extraction_cache
             .coherence_funnel();
 
@@ -1046,7 +1055,7 @@ impl SynthesisSession {
             live_before + report.candidates_added - report.candidates_tombstoned,
             self.incr
                 .as_ref()
-                .unwrap()
+                .expect(PREPARED)
                 .extraction_cache
                 .live_candidates(),
             "unified candidate counters must balance"

@@ -5,7 +5,7 @@
 //! then keeps an edge only if its positive weight clears `θ_edge` or
 //! its negative weight breaches the hard-constraint threshold `τ`.
 
-use crate::blocking::{candidate_pairs, BlockingStats};
+use crate::blocking::{BlockingIndex, BlockingStats};
 use crate::compat::ScoringContext;
 use crate::config::SynthesisConfig;
 use crate::values::{NormBinary, ValueSpace};
@@ -73,7 +73,7 @@ pub fn build_graph(
     cfg: &SynthesisConfig,
     mr: &MapReduce,
 ) -> CompatGraph {
-    let (pairs, blocking) = candidate_pairs(space, tables, cfg, mr);
+    let (_, pairs, blocking) = BlockingIndex::build(space, tables, cfg, mr);
     let ctx = ScoringContext::build(space, tables, cfg, mr);
     let scored = mr.par_map(&pairs, |&(a, b)| (a, b, ctx.score_pair(space, a, b)));
     let mut g = graph_from_scores(tables.len(), &scored, cfg);
@@ -126,12 +126,13 @@ mod tests {
                 BinaryTable::new(BinaryId(i as u32), TableId(i as u32), d, 0, 1, syms)
             })
             .collect();
-        build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
             &MapReduce::new(2),
-        )
+        );
+        (space, tables)
     }
 
     #[test]

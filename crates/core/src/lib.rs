@@ -83,6 +83,12 @@
 //! assert_eq!(output.mappings.len(), strict.mappings.len());
 //! ```
 
+#![forbid(unsafe_code)]
+// The synthesis engine sits under the ingestion and serving paths:
+// library code carries a typed error or a documented `expect`
+// invariant, never a bare unwrap. Unit tests are exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod approx;
 pub mod blocking;
 pub mod compat;

@@ -40,13 +40,6 @@ pub struct PipelineConfig {
     /// above which [`SynthesisSession::compaction_due`] reports that a
     /// [`SynthesisSession::compact`] pass would pay off.
     pub compact_threshold: f64,
-    /// When set, the sharded value-space and blocking builds spill
-    /// each shard's artifacts to files under this directory and stream
-    /// them back at stitch time, bounding peak residency by the
-    /// largest single shard. Output is bit-identical to the in-memory
-    /// builds; spill files are deleted as they are consumed. Delta
-    /// (incremental) paths never spill — their inputs are small.
-    pub spill_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for PipelineConfig {
@@ -56,7 +49,6 @@ impl Default for PipelineConfig {
             synthesis: SynthesisConfig::default(),
             workers: 0,
             compact_threshold: 0.5,
-            spill_dir: None,
         }
     }
 }
@@ -286,35 +278,6 @@ mod tests {
         assert!(out.edges > 0);
         assert!(out.timings.total >= out.timings.partition);
         assert!(out.partitions >= 2);
-    }
-
-    #[test]
-    fn spilling_pipeline_is_bit_identical() {
-        let corpus = two_standard_corpus();
-        let base = Pipeline::new(PipelineConfig::default()).run(&corpus);
-
-        let dir = std::env::temp_dir().join(format!("mapsynth-spill-pipe-{}", std::process::id()));
-        let cfg = PipelineConfig {
-            spill_dir: Some(dir.clone()),
-            ..Default::default()
-        };
-        let spilled = Pipeline::new(cfg).run(&corpus);
-
-        assert_eq!(base.candidates, spilled.candidates);
-        assert_eq!(base.edges, spilled.edges);
-        assert_eq!(base.negative_edges, spilled.negative_edges);
-        assert_eq!(base.partitions, spilled.partitions);
-        assert_eq!(base.mappings.len(), spilled.mappings.len());
-        for (a, b) in base.mappings.iter().zip(&spilled.mappings) {
-            assert_eq!(
-                a.pair_strs().collect::<Vec<_>>(),
-                b.pair_strs().collect::<Vec<_>>()
-            );
-        }
-        // Every spill file was consumed (deleted at stitch time).
-        let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-        assert_eq!(leftover, 0, "spill files must be deleted after use");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -45,21 +45,15 @@ use crate::graph::{graph_from_scores, CompatGraph};
 use crate::partition::{partition_by_components, Partitioning};
 use crate::pipeline::{PipelineConfig, PipelineOutput, Resolver, StageTimings};
 use crate::synth::SynthesizedMapping;
-use crate::values::{build_value_space_spillable, NormBinary, NormId, ValueSpace};
+use crate::values::{build_value_space, NormBinary, NormId, ValueSpace};
 use mapsynth_corpus::{BinaryId, CoherenceFunnel, Corpus, Interner, TableId, TableSource};
 use mapsynth_extract::{
-    extract_candidates_masked, extract_candidates_streaming, ExtractionCache, ExtractionStats,
+    extract_candidates, extract_candidates_streaming, ExtractionCache, ExtractionStats,
 };
 use mapsynth_mapreduce::MapReduce;
 use mapsynth_text::SynonymDict;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Tables pulled per batch by the streaming prepare — small enough to
-/// bound resident raw-table memory, large enough to keep the per-batch
-/// parallel dispatch amortized. Batch size never affects results (the
-/// streaming extractor is bit-identical for any batch size).
-const STREAM_BATCH_TABLES: usize = 256;
 
 /// Stage-1 artifact: extracted candidate tables.
 #[derive(Clone)]
@@ -252,8 +246,7 @@ impl SynthesisSession {
         let fingerprint = (corpus.len(), corpus.total_columns() as u64);
         self.check_fingerprint(fingerprint);
         if self.extraction.is_none() {
-            let alive = vec![true; corpus.len()];
-            self.prepare_stages_with(corpus, alive, stage_done);
+            self.prepare_stages_with(corpus, stage_done);
         }
         (
             // Invariant: the branch above either found cached
@@ -286,12 +279,8 @@ impl SynthesisSession {
     ) -> (&ExtractionArtifact, &ValueArtifact, &ScoreArtifact) {
         if self.extraction.is_none() {
             let t = Instant::now();
-            let (candidates, stats, extraction_cache) = extract_candidates_streaming(
-                source,
-                &self.cfg.extraction,
-                &self.mr,
-                STREAM_BATCH_TABLES,
-            );
+            let (candidates, stats, extraction_cache) =
+                extract_candidates_streaming(source, &self.cfg.extraction, &self.mr);
             // Streamed sources expose total columns only after the
             // extraction pass has walked them (`next_gid` counts every
             // column), so the fingerprint is checked post-extraction.
@@ -304,8 +293,7 @@ impl SynthesisSession {
                 elapsed: t.elapsed(),
             });
             stage_done("extraction");
-            let alive = vec![true; n_tables];
-            self.finish_prepare(source.interner(), alive, extraction_cache, stage_done);
+            self.finish_prepare(source.interner(), n_tables, extraction_cache, stage_done);
         } else {
             self.check_fingerprint_tables(source.table_count());
         }
@@ -341,19 +329,11 @@ impl SynthesisSession {
     }
 
     /// Build all three stage artifacts (plus the incremental-update
-    /// state) over the tables `alive` marks. `alive` is all-true for a
-    /// plain [`prepare`](Self::prepare); the tombstone-aware mask is
-    /// used by [`apply_delta`](Self::apply_delta)'s full-rebuild
-    /// fallback, which must keep the caller's table numbering.
-    pub(crate) fn prepare_stages_with(
-        &mut self,
-        corpus: &Corpus,
-        alive: Vec<bool>,
-        mut stage_done: impl FnMut(&'static str),
-    ) {
+    /// state) over every table of `corpus`.
+    fn prepare_stages_with(&mut self, corpus: &Corpus, mut stage_done: impl FnMut(&'static str)) {
         let t = Instant::now();
         let (candidates, stats, extraction_cache) =
-            extract_candidates_masked(corpus, &alive, &self.cfg.extraction, &self.mr);
+            extract_candidates(corpus, &self.cfg.extraction, &self.mr);
         self.extraction = Some(ExtractionArtifact {
             candidates,
             stats,
@@ -361,17 +341,18 @@ impl SynthesisSession {
             elapsed: t.elapsed(),
         });
         stage_done("extraction");
-        self.finish_prepare(&corpus.interner, alive, extraction_cache, stage_done);
+        self.finish_prepare(&corpus.interner, corpus.len(), extraction_cache, stage_done);
     }
 
     /// Stages 2–3 (value space, blocking + scoring) plus the
     /// incremental state, shared by the in-memory and streaming
     /// prepares. Only the interner is needed from the corpus side —
-    /// raw tables are already behind us.
+    /// raw tables are already behind us; `n_tables` is the corpus size,
+    /// every table of which starts out alive.
     fn finish_prepare(
         &mut self,
         strs: &Interner,
-        alive: Vec<bool>,
+        n_tables: usize,
         extraction_cache: ExtractionCache,
         mut stage_done: impl FnMut(&'static str),
     ) {
@@ -383,14 +364,8 @@ impl SynthesisSession {
             .as_ref()
             .expect("extraction stored by caller")
             .candidates;
-        let (space, tables, interning) = build_value_space_spillable(
-            strs,
-            candidates,
-            &self.synonyms,
-            &self.mr,
-            self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
-        );
+        let (space, tables, interning) =
+            build_value_space(strs, candidates, &self.synonyms, &self.mr);
         let mut pos_of_candidate: Vec<Option<u32>> = vec![None; candidates.len()];
         for (pos, t) in tables.iter().enumerate() {
             pos_of_candidate[t.idx as usize] = Some(pos as u32);
@@ -408,14 +383,7 @@ impl SynthesisSession {
         let space = &values.space;
         let tables = &values.tables;
         let cfg = &self.cfg.synthesis;
-        let (blocking_index, pairs, blocking) = BlockingIndex::build_spillable(
-            space,
-            tables,
-            cfg,
-            &self.mr,
-            self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
-        );
+        let (blocking_index, pairs, blocking) = BlockingIndex::build(space, tables, cfg, &self.mr);
         let blocking_time = t.elapsed();
 
         // Shared scoring state: per-table sorted views + the
@@ -462,7 +430,7 @@ impl SynthesisSession {
             blocking: blocking_index,
             pos_of_candidate,
             dead,
-            alive_tables: alive,
+            alive_tables: vec![true; n_tables],
         });
         stage_done("scoring");
     }
@@ -710,25 +678,13 @@ impl SynthesisSession {
         // Stage 2 rebuilt outright — this *is* the reclamation: only
         // strings live candidates reference get re-interned, exactly
         // as a fresh prepare would.
-        let (space, tables, interning) = build_value_space_spillable(
-            &new_corpus.interner,
-            &candidates,
-            &self.synonyms,
-            &self.mr,
-            self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
-        );
+        let (space, tables, interning) =
+            build_value_space(&new_corpus.interner, &candidates, &self.synonyms, &self.mr);
 
         // Stage 3a rebuilt outright (postings of dead tables vanish).
         let cfg = &self.cfg.synthesis;
-        let (blocking_index, pairs, blocking_stats) = BlockingIndex::build_spillable(
-            &space,
-            &tables,
-            cfg,
-            &self.mr,
-            self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
-        );
+        let (blocking_index, pairs, blocking_stats) =
+            BlockingIndex::build(&space, &tables, cfg, &self.mr);
 
         // Stage 3b: fresh views, memo compacted through the old → new
         // value map — a string-keyed lookup, so values surviving via

@@ -197,12 +197,13 @@ mod tests {
                 )
             })
             .collect();
-        build_value_space(
+        let (space, tables, _) = build_value_space(
             &corpus.interner,
             &cands,
             &SynonymDict::new(),
             &MapReduce::new(2),
-        )
+        );
+        (space, tables)
     }
 
     #[test]

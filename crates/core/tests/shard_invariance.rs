@@ -1,20 +1,18 @@
 //! Shard-count invariance oracle: property-test that the sharded
-//! value-space interning and the sharded blocking build are
-//! **bit-identical** to their single-shard / unsharded references for
-//! randomly generated candidate sets — across shard counts, worker
-//! counts, the incremental extension path, and blocking deltas.
+//! value-space interning is **bit-identical** to the single-worker
+//! (single-shard) build for randomly generated candidate sets — across
+//! worker counts and the incremental extension path.
 //!
-//! This is the safety net behind PR 6's parallel artifact builds: the
-//! production `build` entry points delegate to the sharded
-//! implementations with one shard per worker, so any nondeterminism in
+//! This is the safety net behind the parallel value-space build: it
+//! runs one dedup shard per worker, so any nondeterminism in
 //! partitioning or stitching would surface here (and in the delta
-//! oracle) before it could perturb golden dumps.
+//! oracle) before it could perturb golden dumps. The blocking build's
+//! counterpart lives next to its unsharded reference, in the
+//! `blocking` module's unit tests.
 
 use mapsynth::blocking::BlockingIndex;
 use mapsynth::config::SynthesisConfig;
-use mapsynth::values::{
-    build_value_space_sharded, extend_value_space_sharded, NormBinary, NormId, ValueSpace,
-};
+use mapsynth::values::{build_value_space, extend_value_space, NormBinary, NormId, ValueSpace};
 use mapsynth_corpus::{BinaryId, BinaryTable, Corpus, TableId};
 use mapsynth_mapreduce::MapReduce;
 use mapsynth_text::SynonymDict;
@@ -124,100 +122,49 @@ fn generated_candidates_exercise_blocking() {
         .collect();
     let (corpus, cands) = mk_candidates(&gen);
     let mr = MapReduce::new(2);
-    let (space, tables, _) =
-        build_value_space_sharded(&corpus.interner, &cands, &synonyms(), &mr, 2);
+    let (space, tables, _) = build_value_space(&corpus.interner, &cands, &synonyms(), &mr);
     assert!(
         space.len() > 10,
         "generator must produce a real value space"
     );
-    let (_, pairs, _) =
-        BlockingIndex::build_sharded(&space, &tables, &SynthesisConfig::default(), &mr, 2);
+    let (_, pairs, _) = BlockingIndex::build(&space, &tables, &SynthesisConfig::default(), &mr);
     assert!(!pairs.is_empty(), "generator must produce blocked pairs");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// For any generated candidate set, any worker count, and any
-    /// shard count: the sharded value space equals the single-shard
-    /// one, sharded blocking equals the unsharded reference, the
-    /// extension (delta) path is shard-invariant, and a sharded-built
-    /// blocking index fed through `apply_delta` lands on the fresh
-    /// unsharded build's pairs.
+    /// For any generated candidate set and any worker (= shard) count:
+    /// the value space equals the single-worker one, and the extension
+    /// (delta) path — build on a prefix, extend with the rest — is
+    /// worker-count invariant too.
     #[test]
     fn prop_sharded_builds_are_invariant(
         gen in tables_strategy(),
-        worker_sel in 0usize..3,
         split_sel in 1usize..4,
     ) {
-        let workers = [1usize, 2, 8][worker_sel];
-        let mr = MapReduce::new(workers);
         let (corpus, cands) = mk_candidates(&gen);
         let dict = synonyms();
-        let cfg = SynthesisConfig::default();
-
-        let (ref_space, ref_tables, _) =
-            build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1);
-        let reference = observe_space(&ref_space, &ref_tables);
-        let (_, ref_pairs, ref_stats) =
-            BlockingIndex::build_unsharded(&ref_space, &ref_tables, &cfg, &mr);
-
-        // The extension reference: build on a prefix, extend with the
-        // rest, single shard.
         let at = (cands.len() * split_sel / 4).clamp(1, cands.len() - 1);
-        let ext_reference = {
-            let (space, tables, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, 1);
-            let n_prefix = tables.len() as u32;
-            let (grown, added) = extend_value_space_sharded(
-                &space, &mut interning, &corpus.interner, &cands[at..], &dict,
-                n_prefix, &mr, 1,
-            );
-            let mut all = tables;
-            all.extend(added);
-            observe_space(&grown, &all)
-        };
-
-        for shards in [2usize, 3, 8] {
-            let (space, tables, _) =
-                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards);
-            prop_assert_eq!(observe_space(&space, &tables), reference.clone(),
-                "value space diverged at {} shards, {} workers", shards, workers);
-
-            let (_, pairs, stats) =
-                BlockingIndex::build_sharded(&space, &tables, &cfg, &mr, shards);
-            prop_assert_eq!(&pairs, &ref_pairs,
-                "blocking pairs diverged at {} shards, {} workers", shards, workers);
-            prop_assert_eq!(stats.pairs, ref_stats.pairs);
-            prop_assert_eq!(stats.pos_keys, ref_stats.pos_keys);
-            prop_assert_eq!(stats.neg_keys, ref_stats.neg_keys);
-            prop_assert_eq!(stats.capped_keys, ref_stats.capped_keys);
-
-            // Extension path at this shard count.
+        let build_and_extend = |mr: &MapReduce| -> (SpaceObs, SpaceObs) {
+            let (space, tables, _) = build_value_space(&corpus.interner, &cands, &dict, mr);
             let (pspace, ptables, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, shards);
+                build_value_space(&corpus.interner, &cands[..at], &dict, mr);
             let n_prefix = ptables.len() as u32;
-            let (grown, added) = extend_value_space_sharded(
-                &pspace, &mut interning, &corpus.interner, &cands[at..], &dict,
-                n_prefix, &mr, shards,
+            let (grown, added) = extend_value_space(
+                &pspace, &mut interning, &corpus.interner, &cands[at..], &dict, n_prefix, mr,
             );
             let mut all = ptables;
             all.extend(added);
-            prop_assert_eq!(observe_space(&grown, &all), ext_reference.clone(),
-                "extension diverged at {} shards, {} workers", shards, workers);
+            (observe_space(&space, &tables), observe_space(&grown, &all))
+        };
 
-            // Sharded-built index through the blocking delta path: add
-            // the suffix tables incrementally, compare with the fresh
-            // unsharded build over everything.
-            let k = at.min(tables.len().saturating_sub(1)).max(1);
-            if k < tables.len() {
-                let (mut index, _, _) =
-                    BlockingIndex::build_sharded(&space, &tables[..k], &cfg, &mr, shards);
-                let added_idx: Vec<u32> = (k as u32..tables.len() as u32).collect();
-                let (delta_pairs, _) =
-                    index.apply_delta(&space, &tables, &added_idx, &[], &cfg);
-                prop_assert_eq!(&delta_pairs, &ref_pairs,
-                    "post-delta pairs diverged at {} shards, {} workers", shards, workers);
-            }
+        let (reference, ext_reference) = build_and_extend(&MapReduce::new(1));
+        for workers in [2usize, 3, 8] {
+            let (built, extended) = build_and_extend(&MapReduce::new(workers));
+            prop_assert_eq!(built, reference.clone(),
+                "value space diverged at {} workers", workers);
+            prop_assert_eq!(extended, ext_reference.clone(),
+                "extension diverged at {} workers", workers);
         }
     }
 }

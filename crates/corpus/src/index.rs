@@ -47,29 +47,14 @@ impl ValueIndex {
         }
     }
 
-    /// Build the index over an entire corpus.
+    /// Build the index over an entire corpus, global column ids
+    /// assigned in `(table, column)` order.
     pub fn build(corpus: &Corpus) -> Self {
-        Self::build_filtered(corpus, |_| true)
-    }
-
-    /// Build the index over the tables `alive` accepts. Global column
-    /// ids are still assigned across *all* tables (so they line up
-    /// with any caller-side `first_gid` arithmetic), but dead tables
-    /// contribute no postings and do not count toward
-    /// [`total_columns`](Self::total_columns) — the statistics are
-    /// those of the live view.
-    pub fn build_filtered(corpus: &Corpus, alive: impl Fn(crate::table::TableId) -> bool) -> Self {
         let mut postings: Vec<Vec<GlobalColId>> = vec![Vec::new(); corpus.interner.len()];
-        let mut col_id = 0u32;
-        let mut total = 0usize;
+        let mut total = 0u32;
         for table in &corpus.tables {
-            let live = alive(table.id);
             for column in &table.columns {
-                let gid = GlobalColId(col_id);
-                col_id += 1;
-                if !live {
-                    continue;
-                }
+                let gid = GlobalColId(total);
                 total += 1;
                 let mut seen: HashSet<Sym> = HashSet::with_capacity(column.values.len());
                 for &v in &column.values {
@@ -90,7 +75,7 @@ impl ValueIndex {
         Self {
             postings,
             sketches,
-            total_columns: total,
+            total_columns: total as usize,
         }
     }
 

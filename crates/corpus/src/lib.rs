@@ -34,6 +34,7 @@
 //! assert_eq!(corpus.str_of(sym), "USA");
 //! ```
 
+#![forbid(unsafe_code)]
 // The corpus layer underpins the durable persistence formats: library
 // code must degrade to typed errors, never panic, on rotten input.
 // Unit tests are exempt (they assert with unwrap freely).
@@ -50,7 +51,7 @@ pub mod table;
 
 pub use binary::{
     crc32, read_sealed, wire, BinaryId, BinaryTable, FrameError, FrameReader, FrameTail,
-    FrameWriter, SpillReader, SpillWriter, FRAME_VERSION, MAX_FRAME_LEN,
+    FrameWriter, FRAME_VERSION, MAX_FRAME_LEN,
 };
 pub use index::{GlobalColId, ValueIndex};
 pub use intern::{Interner, Sym};

@@ -15,6 +15,8 @@
 //!   expansion    Appendix I
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mapsynth_eval::experiments::{
     comparison, conflict, curation, enterprise, expansion, scalability, sensitivity, ExpConfig,
 };

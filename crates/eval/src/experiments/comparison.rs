@@ -26,6 +26,19 @@ pub struct MethodSummary {
     pub per_case: Vec<Score>,
 }
 
+impl MethodSummary {
+    /// The precision Figure 7 reports: the mean over non-miss cases
+    /// for the single-table and KB methods (paper footnote 5), the
+    /// plain mean otherwise.
+    pub fn reported_precision(&self) -> f64 {
+        if footnote5(self.method) {
+            self.precision_nonzero
+        } else {
+            self.mean.precision
+        }
+    }
+}
+
 /// Outcome of the whole comparison.
 pub struct Comparison {
     /// Benchmark cases.
@@ -82,12 +95,18 @@ fn footnote5(method: Method) -> bool {
     )
 }
 
-/// Run and emit Figures 7, 8 and 14.
-pub fn run(cfg: &ExpConfig) -> Comparison {
+/// Generate the web corpus of `cfg`, prepare it, and run the
+/// comparison on its 80-case attested benchmark.
+pub fn compare(cfg: &ExpConfig) -> Comparison {
     let wc = generate_web(&cfg.web_config());
     let prepared = PreparedWeb::prepare(wc, cfg.synonym_fraction, cfg.workers);
     let cases = web_benchmark_attested(&prepared.registry, &prepared.emitted_pairs, 80);
-    let comparison = run_comparison(&prepared, &cases);
+    run_comparison(&prepared, &cases)
+}
+
+/// Run and emit Figures 7, 8 and 14.
+pub fn run(cfg: &ExpConfig) -> Comparison {
+    let comparison = compare(cfg);
     emit_fig7(cfg, &comparison);
     emit_fig8(cfg, &comparison);
     emit_fig14(cfg, &comparison);
@@ -104,15 +123,10 @@ pub fn emit_fig7(cfg: &ExpConfig, c: &Comparison) {
         "best_param",
     ]);
     for m in &c.methods {
-        let precision = if footnote5(m.method) {
-            m.precision_nonzero
-        } else {
-            m.mean.precision
-        };
         t.row(vec![
             m.method.name().to_string(),
             format!("{:.3}", m.mean.f),
-            format!("{precision:.3}"),
+            format!("{:.3}", m.reported_precision()),
             format!("{:.3}", m.mean.recall),
             m.label.clone(),
         ]);

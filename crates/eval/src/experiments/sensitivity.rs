@@ -13,7 +13,7 @@ use crate::benchmark::web_benchmark_attested;
 use crate::methods::PreparedWeb;
 use crate::metrics::{mean_score, ResultScorer, Score};
 use crate::report::{emit, Table};
-use mapsynth::blocking::candidate_pairs;
+use mapsynth::blocking::BlockingIndex;
 use mapsynth::pipeline::Resolver;
 use mapsynth::SynthesisConfig;
 use mapsynth_extract::{extract_candidates, ExtractionConfig};
@@ -45,7 +45,7 @@ pub fn run(cfg: &ExpConfig) {
     };
     let mut t = Table::new(&["theta_fd", "candidates", "mappings"]);
     for theta in [0.93, 0.94, 0.95, 0.96, 0.97] {
-        let (cands, _) = extract_candidates(
+        let (cands, _, _) = extract_candidates(
             &corpus_for_theta,
             &ExtractionConfig {
                 fd_theta: theta,
@@ -56,7 +56,7 @@ pub fn run(cfg: &ExpConfig) {
         let feed = prepared
             .registry
             .partial_synonym_feed(cfg.synonym_fraction, 11);
-        let (space, tables) =
+        let (space, tables, _) =
             mapsynth::values::build_value_space(&corpus_for_theta.interner, &cands, &feed, &mr);
         let mappings = mapsynth::synthesize_from(&space, &tables, &SynthesisConfig::default(), &mr);
         t.row(vec![
@@ -104,7 +104,8 @@ pub fn run(cfg: &ExpConfig) {
             theta_overlap: overlap,
             ..Default::default()
         };
-        let (pairs, _) = candidate_pairs(prepared.space(), prepared.tables(), &scfg, prepared.mr());
+        let (_, pairs, _) =
+            BlockingIndex::build(prepared.space(), prepared.tables(), &scfg, prepared.mr());
         // Quality still evaluated with shared scored pairs only when
         // overlap=2 matches; otherwise re-run synthesis from scratch on
         // the blocked pairs via the full path.

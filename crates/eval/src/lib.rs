@@ -24,6 +24,8 @@
 //! `pipeline_baseline` binary into `BENCH_pipeline.json` — schema in
 //! `crates/bench/README.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod benchmark;
 pub mod experiments;
 pub mod methods;

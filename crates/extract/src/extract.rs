@@ -276,144 +276,108 @@ fn enumerate_pairs(
     pairs
 }
 
-/// Run candidate extraction over the corpus (paper Algorithm 1).
+/// Tables pulled per batch when extracting from a [`TableSource`] —
+/// small enough to bound resident raw-table memory, large enough to
+/// keep the per-batch parallel dispatch amortized. Batch size never
+/// affects results.
+const STREAM_BATCH_TABLES: usize = 256;
+
+/// Run candidate extraction over a materialized corpus (paper
+/// Algorithm 1).
 ///
-/// Returns candidates with stable ids (`BinaryId` in table order) and
-/// aggregate stats. Parallelized with [`MapReduce::par_map`]; output is
-/// deterministic.
+/// Returns candidates with stable ids (`BinaryId` in table order),
+/// aggregate stats, and the [`ExtractionCache`] that lets subsequent
+/// corpus deltas re-extract incrementally. Parallelized with
+/// [`MapReduce::par_map`]; output is deterministic for any worker
+/// count.
 pub fn extract_candidates(
     corpus: &Corpus,
     cfg: &ExtractionConfig,
     mr: &MapReduce,
-) -> (Vec<BinaryTable>, ExtractionStats) {
-    let (candidates, stats, _) = extract_candidates_cached(corpus, cfg, mr);
-    (candidates, stats)
-}
-
-/// [`extract_candidates`] plus the [`ExtractionCache`] that lets
-/// subsequent corpus deltas re-extract incrementally. The candidate
-/// list and stats are identical to the plain entry point (it delegates
-/// here).
-pub fn extract_candidates_cached(
-    corpus: &Corpus,
-    cfg: &ExtractionConfig,
-    mr: &MapReduce,
 ) -> (Vec<BinaryTable>, ExtractionStats, ExtractionCache) {
-    extract_candidates_masked(corpus, &vec![true; corpus.tables.len()], cfg, mr)
+    extract_batched(&mut CorpusBatches(corpus), usize::MAX, cfg, mr)
 }
 
-/// [`extract_candidates_cached`] restricted to the tables `alive`
-/// marks. Dead tables contribute no coherence evidence and emit no
-/// candidates — the output is exactly what [`extract_candidates`]
-/// produces on [`Corpus::subset`] of the live tables (modulo interner
-/// ids), while keeping the *caller's* table numbering so an
-/// incremental session can rebuild in place after tombstoning tables.
-pub fn extract_candidates_masked(
-    corpus: &Corpus,
-    alive: &[bool],
-    cfg: &ExtractionConfig,
-    mr: &MapReduce,
-) -> (Vec<BinaryTable>, ExtractionStats, ExtractionCache) {
-    assert_eq!(alive.len(), corpus.tables.len());
-    let index = ValueIndex::build_filtered(corpus, |tid| alive[tid.0 as usize]);
-
-    // Global column ids are assigned in (table, column) order, across
-    // dead tables too — gaps are harmless (coherence is count
-    // arithmetic) and keep the id assignment delta-stable.
-    let mut first_col: Vec<u32> = Vec::with_capacity(corpus.tables.len());
-    let mut next = 0u32;
-    for t in &corpus.tables {
-        first_col.push(next);
-        next += t.width() as u32;
-    }
-
-    let live: Vec<usize> = (0..corpus.tables.len()).filter(|&ti| alive[ti]).collect();
-    let index_ref = &index;
-    let first_ref = &first_col;
-    let memo = CooccurrenceMemo::new();
-    let memo_ref = &memo;
-    let outputs: Vec<TableExtraction> = mr.par_map(&live, |&ti| {
-        extract_table(
-            &corpus.interner,
-            index_ref,
-            memo_ref,
-            &corpus.tables[ti],
-            first_ref[ti],
-            cfg,
-        )
-    });
-
-    let mut all = Vec::new();
-    let mut stats = ExtractionStats::default();
-    let mut funnel = CoherenceFunnel {
-        memo_pairs: memo.len() as u64,
-        ..Default::default()
-    };
-    // The memo's counts describe this pass's index only.
-    drop(memo);
-    let mut tables: Vec<TableCache> = (0..corpus.tables.len())
-        .map(|ti| TableCache {
-            alive: false,
-            first_gid: first_col[ti],
-            cols: Vec::new(),
-            stats: ExtractionStats::default(),
-            candidates: Vec::new(),
-        })
-        .collect();
-    for (&ti, out) in live.iter().zip(outputs) {
-        merge_stats(&mut stats, &out.stats);
-        funnel.merge(&out.funnel);
-        let table = &corpus.tables[ti];
-        let mut emitted = Vec::with_capacity(out.pairs.len());
-        for (i, j, rows) in out.pairs {
-            let id = BinaryId(all.len() as u32);
-            emitted.push((i, j, id.0));
-            all.push(
-                BinaryTable::new(id, table.id, table.domain, i, j, rows).with_headers(
-                    table.columns[i as usize].header,
-                    table.columns[j as usize].header,
-                ),
-            );
-        }
-        tables[ti] = TableCache {
-            alive: true,
-            first_gid: first_col[ti],
-            cols: out.cols,
-            stats: out.stats,
-            candidates: emitted,
-        };
-    }
-    let cache = ExtractionCache {
-        index,
-        tables,
-        next_gid: next,
-        next_candidate: all.len() as u32,
-        funnel,
-    };
-    (all, stats, cache)
-}
-
-/// Streaming variant of [`extract_candidates_cached`]: pull tables
-/// from a [`TableSource`] in bounded batches instead of borrowing a
-/// materialized corpus.
+/// [`extract_candidates`] pulling tables from a [`TableSource`] in
+/// bounded batches instead of borrowing a materialized corpus.
 ///
-/// Two passes over the source. Pass 1 builds the [`ValueIndex`]
-/// incrementally (one batch of tables resident at a time), assigning
-/// global column ids in `(table, column)` order exactly as the batch
-/// path does. Pass 2 [`rewind`](TableSource::rewind)s and runs the
-/// same per-table extraction the batch path runs, so candidates, stats
-/// and the returned [`ExtractionCache`] are **bit-identical** to
-/// [`extract_candidates_cached`] on the materialized corpus — only the
-/// peak memory differs: the raw tables of at most one batch are alive
-/// at any moment, while the batch path holds all of them.
-///
-/// `batch_tables` trades parallelism against residency; it has no
-/// effect on the output.
+/// Candidates, stats and the returned [`ExtractionCache`] are
+/// **bit-identical** to [`extract_candidates`] on the materialized
+/// corpus — only the peak memory differs: the raw tables of at most
+/// one batch are alive at any moment.
 pub fn extract_candidates_streaming<S: TableSource>(
     source: &mut S,
     cfg: &ExtractionConfig,
     mr: &MapReduce,
+) -> (Vec<BinaryTable>, ExtractionStats, ExtractionCache) {
+    extract_batched(source, STREAM_BATCH_TABLES, cfg, mr)
+}
+
+/// Where the extraction driver reads its tables from: batches of
+/// `&[Table]` plus the interner resolving their symbols.
+trait TableBatches {
+    /// Tables per pass.
+    fn table_count(&self) -> usize;
+
+    /// Call `f` on every batch of at most `batch_tables` tables, in
+    /// table order.
+    fn for_each_batch(&mut self, batch_tables: usize, f: impl FnMut(&Interner, &[Table]));
+
+    /// Reset to the first table.
+    fn rewind(&mut self);
+}
+
+/// A materialized corpus, fed as slices of its own table list (no
+/// clone).
+struct CorpusBatches<'a>(&'a Corpus);
+
+impl TableBatches for CorpusBatches<'_> {
+    fn table_count(&self) -> usize {
+        self.0.tables.len()
+    }
+
+    fn for_each_batch(&mut self, batch_tables: usize, mut f: impl FnMut(&Interner, &[Table])) {
+        for batch in self.0.tables.chunks(batch_tables) {
+            f(&self.0.interner, batch);
+        }
+    }
+
+    fn rewind(&mut self) {}
+}
+
+impl<S: TableSource> TableBatches for S {
+    fn table_count(&self) -> usize {
+        TableSource::table_count(self)
+    }
+
+    fn for_each_batch(&mut self, batch_tables: usize, mut f: impl FnMut(&Interner, &[Table])) {
+        loop {
+            let batch = self.next_batch(batch_tables);
+            if batch.is_empty() {
+                break;
+            }
+            f(self.interner(), &batch);
+        }
+    }
+
+    fn rewind(&mut self) {
+        TableSource::rewind(self)
+    }
+}
+
+/// The one extraction driver, two passes over `source`.
+///
+/// Pass 1 builds the [`ValueIndex`] column by column, assigning global
+/// column ids in `(table, column)` order. Pass 2 rewinds and runs the
+/// per-table extraction against the complete index, sharing one
+/// pass-scoped co-occurrence memo, and emits candidates in table
+/// order. `batch_tables` trades parallelism against residency; it has
+/// no effect on the output.
+fn extract_batched(
+    source: &mut impl TableBatches,
     batch_tables: usize,
+    cfg: &ExtractionConfig,
+    mr: &MapReduce,
 ) -> (Vec<BinaryTable>, ExtractionStats, ExtractionCache) {
     let batch_tables = batch_tables.max(1);
     let n_tables = source.table_count();
@@ -422,15 +386,11 @@ pub fn extract_candidates_streaming<S: TableSource>(
     let mut index = ValueIndex::empty();
     let mut first_col: Vec<u32> = Vec::with_capacity(n_tables);
     let mut next = 0u32;
-    loop {
-        let batch = source.next_batch(batch_tables);
-        if batch.is_empty() {
-            break;
-        }
+    source.for_each_batch(batch_tables, |strs, batch| {
         let distincts: Vec<Vec<Vec<Sym>>> =
-            mr.par_map(&batch, |t| t.columns.iter().map(|c| c.distinct()).collect());
+            mr.par_map(batch, |t| t.columns.iter().map(|c| c.distinct()).collect());
         // The source interned this batch's strings while producing it.
-        index.grow_symbols(source.interner().len());
+        index.grow_symbols(strs.len());
         for (t, cols) in batch.iter().zip(distincts) {
             debug_assert_eq!(
                 t.id.0 as usize,
@@ -443,7 +403,7 @@ pub fn extract_candidates_streaming<S: TableSource>(
             }
             next += t.width() as u32;
         }
-    }
+    });
     assert_eq!(
         first_col.len(),
         n_tables,
@@ -461,13 +421,8 @@ pub fn extract_candidates_streaming<S: TableSource>(
     let first_ref = &first_col;
     let memo = CooccurrenceMemo::new();
     let memo_ref = &memo;
-    loop {
-        let batch = source.next_batch(batch_tables);
-        if batch.is_empty() {
-            break;
-        }
-        let strs = source.interner();
-        let outputs: Vec<TableExtraction> = mr.par_map(&batch, |t| {
+    source.for_each_batch(batch_tables, |strs, batch| {
+        let outputs: Vec<TableExtraction> = mr.par_map(batch, |t| {
             extract_table(
                 strs,
                 index_ref,
@@ -497,7 +452,8 @@ pub fn extract_candidates_streaming<S: TableSource>(
                 candidates: emitted,
             });
         }
-    }
+    });
+    // The memo's counts describe this pass's index only.
     funnel.memo_pairs = memo.len() as u64;
     drop(memo);
     let cache = ExtractionCache {
@@ -568,7 +524,7 @@ const GAINED_CANDIDATE: u32 = u32::MAX;
 
 /// Incremental extraction state: the live [`ValueIndex`] plus each
 /// table's cached column verdicts and coherence evidence. Built by
-/// [`extract_candidates_cached`]; advanced by
+/// [`extract_candidates`] / [`extract_candidates_streaming`]; advanced by
 /// [`apply_delta`](Self::apply_delta).
 #[derive(Clone)]
 pub struct ExtractionCache {
@@ -1225,7 +1181,7 @@ mod tests {
     fn extracts_candidates_and_prunes() {
         let wc = small_corpus();
         let mr = MapReduce::new(4);
-        let (cands, stats) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
+        let (cands, stats, _) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
         assert!(!cands.is_empty());
         assert_eq!(stats.tables, wc.corpus.len());
         assert!(
@@ -1244,9 +1200,9 @@ mod tests {
     #[test]
     fn deterministic_across_worker_counts() {
         let wc = small_corpus();
-        let (a, _) =
+        let (a, _, _) =
             extract_candidates(&wc.corpus, &ExtractionConfig::default(), &MapReduce::new(1));
-        let (b, _) =
+        let (b, _, _) =
             extract_candidates(&wc.corpus, &ExtractionConfig::default(), &MapReduce::new(8));
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
@@ -1259,7 +1215,7 @@ mod tests {
     fn incoherent_columns_removed() {
         let wc = small_corpus();
         let mr = MapReduce::new(4);
-        let (_, stats) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
+        let (_, stats, _) = extract_candidates(&wc.corpus, &ExtractionConfig::default(), &mr);
         assert!(
             stats.columns_incoherent > 0,
             "generator injects incoherent columns; none were filtered"
@@ -1296,7 +1252,7 @@ mod tests {
             ],
         );
         let mr = MapReduce::new(2);
-        let (cands, stats) = extract_candidates(
+        let (cands, stats, _) = extract_candidates(
             &corpus,
             &ExtractionConfig {
                 min_distinct: 3,
@@ -1321,7 +1277,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
 
         // Remove a spread of tables, add clones of two strongly
         // coherent tables under a new domain (content overlap on
@@ -1347,7 +1303,7 @@ mod tests {
         // Fresh extraction of the post-delta corpus.
         let removed_set: std::collections::HashSet<TableId> = removed.into_iter().collect();
         let fresh_corpus = corpus.subset(|tid| !removed_set.contains(&tid));
-        let (fresh, fresh_stats) = extract_candidates(&fresh_corpus, &cfg, &mr);
+        let (fresh, fresh_stats, _) = extract_candidates(&fresh_corpus, &cfg, &mr);
 
         assert_eq!(incremental.len(), fresh.len(), "candidate count");
         assert_eq!(delta.stats, fresh_stats, "aggregate stats");
@@ -1381,7 +1337,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
         let nd = corpus.domain("delta.example");
         let mut added = Vec::new();
         for &src in &[0u32, 1] {
@@ -1393,7 +1349,7 @@ mod tests {
         assert!(delta.coherence_flips > 0);
 
         let (rebuilt, stats, id_map) = cache.rebuild_candidates(&corpus);
-        let (fresh, fresh_stats) = extract_candidates(&corpus, &cfg, &mr);
+        let (fresh, fresh_stats, _) = extract_candidates(&corpus, &cfg, &mr);
         assert_eq!(rebuilt.len(), fresh.len(), "candidate count");
         assert_eq!(stats, fresh_stats, "aggregate stats");
         for (a, b) in rebuilt.iter().zip(&fresh) {
@@ -1419,11 +1375,10 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (batch, batch_stats, mut batch_cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (batch, batch_stats, mut batch_cache) = extract_candidates(&corpus, &cfg, &mr);
         for batch_size in [1usize, 7, 64, 10_000] {
-            let mut stream = corpus.stream();
             let (streamed, stream_stats, _) =
-                extract_candidates_streaming(&mut stream, &cfg, &mr, batch_size);
+                extract_batched(&mut corpus.stream(), batch_size, &cfg, &mr);
             assert_eq!(stream_stats, batch_stats, "batch_size {batch_size}");
             assert_eq!(streamed.len(), batch.len());
             for (a, b) in streamed.iter().zip(&batch) {
@@ -1436,7 +1391,7 @@ mod tests {
         // Cache equivalence: the same delta applied to the streaming
         // cache and the batch cache produces identical results.
         let (_, _, mut stream_cache) =
-            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, 32);
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr);
         let removed: Vec<TableId> = vec![TableId(10), TableId(42)];
         let nd = corpus.domain("delta.example");
         let cols = corpus.tables[5].columns.clone();
@@ -1471,9 +1426,9 @@ mod tests {
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
         let wc = generate_web(&cfg_gen);
-        let (batch, batch_stats) = extract_candidates(&wc.corpus, &cfg, &mr);
+        let (batch, batch_stats, _) = extract_candidates(&wc.corpus, &cfg, &mr);
         let mut stream = mapsynth_gen::webgen::WebTableStream::new(cfg_gen);
-        let (streamed, stream_stats, _) = extract_candidates_streaming(&mut stream, &cfg, &mr, 64);
+        let (streamed, stream_stats, _) = extract_batched(&mut stream, 64, &cfg, &mr);
         assert_eq!(stream_stats, batch_stats);
         assert_eq!(streamed.len(), batch.len());
         for (a, b) in streamed.iter().zip(&batch) {
@@ -1492,7 +1447,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
 
         let mut tombstoned: std::collections::HashSet<u32> = Default::default();
         let mut appended: Vec<BinaryTable> = Vec::new();
@@ -1519,7 +1474,7 @@ mod tests {
         incremental.sort_by_key(|c| c.id.0);
 
         let fresh_corpus = corpus.subset(|tid| !removed_all.contains(&tid));
-        let (fresh, _) = extract_candidates(&fresh_corpus, &cfg, &mr);
+        let (fresh, _, _) = extract_candidates(&fresh_corpus, &cfg, &mr);
         assert_eq!(incremental.len(), fresh.len());
         for (a, b) in incremental.iter().zip(&fresh) {
             assert_eq!((a.left_col, a.right_col), (b.left_col, b.right_col));
@@ -1536,7 +1491,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
 
         // Pick a table that emitted candidates, swap one row for two
         // new ones (one value reused from another table to overlap).
@@ -1568,7 +1523,7 @@ mod tests {
         corpus.apply_row_patch(&patch);
 
         let delta = cache.apply_delta(&corpus, &[], &[], &[patch], &cfg, &mr);
-        let (fresh, fresh_stats, _) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (fresh, fresh_stats, _) = extract_candidates(&corpus, &cfg, &mr);
         assert_eq!(delta.stats, fresh_stats, "aggregate stats");
 
         if delta.reordered {
@@ -1619,7 +1574,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
         let src = base[0].source;
         let t = corpus.table(src);
         let deleted: Vec<Vec<String>> = (0..t.rows())
@@ -1640,11 +1595,11 @@ mod tests {
         let delta = cache.apply_delta(&corpus, &[], &[], &[patch], &cfg, &mr);
         if delta.reordered {
             let (rebuilt, stats, _) = cache.rebuild_candidates(&corpus);
-            let (fresh, fresh_stats, _) = extract_candidates_cached(&corpus, &cfg, &mr);
+            let (fresh, fresh_stats, _) = extract_candidates(&corpus, &cfg, &mr);
             assert_eq!(stats, fresh_stats);
             assert_eq!(rebuilt.len(), fresh.len());
         } else {
-            let (_, fresh_stats, _) = extract_candidates_cached(&corpus, &cfg, &mr);
+            let (_, fresh_stats, _) = extract_candidates(&corpus, &cfg, &mr);
             assert_eq!(delta.stats, fresh_stats);
         }
         assert!(cache.live_candidates() < base.len());
@@ -1698,7 +1653,7 @@ mod tests {
     fn empty_corpus_extracts_nothing_with_zero_rates() {
         let corpus = mapsynth_corpus::Corpus::new();
         let mr = MapReduce::new(1);
-        let (cands, stats) = extract_candidates(&corpus, &ExtractionConfig::default(), &mr);
+        let (cands, stats, _) = extract_candidates(&corpus, &ExtractionConfig::default(), &mr);
         assert!(cands.is_empty());
         assert_eq!(stats, ExtractionStats::default());
         assert_eq!(stats.prune_rate(), 0.0);
@@ -1714,7 +1669,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (_, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (_, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
         let base = cache.coherence_funnel();
         assert!(
             base.sketch_rejects + base.list_probes > 0,
@@ -1753,7 +1708,7 @@ mod tests {
         let wc = small_corpus();
         let cfg = ExtractionConfig::default();
         let (base, base_stats, base_cache) =
-            extract_candidates_cached(&wc.corpus, &cfg, &MapReduce::new(1));
+            extract_candidates(&wc.corpus, &cfg, &MapReduce::new(1));
         let funnel = base_cache.coherence_funnel();
         assert!(funnel.memo_pairs > 0, "no pair reached the memo");
         assert!(
@@ -1762,7 +1717,7 @@ mod tests {
         );
         for workers in [2, 8] {
             let (cands, stats, cache) =
-                extract_candidates_cached(&wc.corpus, &cfg, &MapReduce::new(workers));
+                extract_candidates(&wc.corpus, &cfg, &MapReduce::new(workers));
             assert_eq!(stats, base_stats, "{workers} workers: stats");
             assert_eq!(cands.len(), base.len(), "{workers} workers: candidates");
             for (a, b) in cands.iter().zip(&base) {
@@ -1795,7 +1750,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
 
         let removed = vec![TableId(17), TableId(64)];
         let src = base[0].source;
@@ -1826,22 +1781,32 @@ mod tests {
         let delta = cache.apply_delta(&corpus, &added, &removed, &[patch], &cfg, &mr);
         assert!(delta.tables_reextracted > 0);
 
-        let alive: Vec<bool> = corpus
+        // A fresh pass over the live tables, renumbered densely but
+        // sharing the interner, so symbols (and coherence samples)
+        // line up with the cache's.
+        let live_ids: Vec<TableId> = corpus
             .tables
             .iter()
-            .map(|t| !removed.contains(&t.id))
+            .map(|t| t.id)
+            .filter(|id| !removed.contains(id))
             .collect();
-        let (fresh, fresh_stats, fresh_cache) =
-            extract_candidates_masked(&corpus, &alive, &cfg, &mr);
+        let live = corpus.retain_interned(|tid| !removed.contains(&tid));
+        let (fresh, fresh_stats, fresh_cache) = extract_candidates(&live, &cfg, &mr);
         assert_eq!(delta.stats, fresh_stats, "aggregate stats");
+        let live_cols = |c: &ExtractionCache| -> Vec<Vec<ColumnCache>> {
+            column_states(c)
+                .into_iter()
+                .map(|(_, cols)| cols.to_vec())
+                .collect()
+        };
         assert!(
-            column_states(&cache) == column_states(&fresh_cache),
+            live_cols(&cache) == live_cols(&fresh_cache),
             "re-extracted coherence evidence diverged from a fresh pass"
         );
         let (rebuilt, _, _) = cache.rebuild_candidates(&corpus);
         assert_eq!(rebuilt.len(), fresh.len(), "candidate count");
         for (a, b) in rebuilt.iter().zip(&fresh) {
-            assert_eq!((a.id, a.source), (b.id, b.source));
+            assert_eq!((a.id, a.source), (b.id, live_ids[b.source.0 as usize]));
             assert_eq!((a.left_col, a.right_col), (b.left_col, b.right_col));
             assert_eq!(a.pairs, b.pairs);
         }
@@ -1854,7 +1819,7 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(1);
-        let (_, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (_, _, mut cache) = extract_candidates(&corpus, &cfg, &mr);
         cache.apply_delta(&corpus, &[], &[TableId(0)], &[], &cfg, &mr);
         let patch = RowPatch {
             table: TableId(0),

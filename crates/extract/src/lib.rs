@@ -31,20 +31,20 @@
 //!         (Some("code"), vec!["USA", "CAN", "JPN", "DEU", "FRA"]),
 //!     ]);
 //! }
-//! let (candidates, stats) =
+//! let (candidates, stats, _cache) =
 //!     extract_candidates(&corpus, &ExtractionConfig::default(), &MapReduce::new(2));
 //! assert_eq!(stats.tables, 4);
 //! assert!(!candidates.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod extract;
 pub mod filters;
 
 pub use extract::{
-    extract_candidates, extract_candidates_cached, extract_candidates_masked,
-    extract_candidates_streaming, ExtractionCache, ExtractionConfig, ExtractionDelta,
-    ExtractionStats,
+    extract_candidates, extract_candidates_streaming, ExtractionCache, ExtractionConfig,
+    ExtractionDelta, ExtractionStats,
 };
 pub use filters::{approx_fd_holds, column_passes, numeric_fraction, FdCheck};

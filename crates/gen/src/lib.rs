@@ -37,6 +37,8 @@
 //! assert_eq!(a.emitted_pairs, b.emitted_pairs);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod data;
 pub mod entgen;
 pub mod noise;

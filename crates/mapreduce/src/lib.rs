@@ -36,6 +36,8 @@
 //! ));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cc;
 pub mod engine;
 pub mod unionfind;

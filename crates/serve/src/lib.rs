@@ -47,6 +47,7 @@
 //! assert_eq!(hit.forward(0), Some("ca"));
 //! ```
 
+#![forbid(unsafe_code)]
 // Serving/ingestion code must degrade, not panic: every fallible path
 // carries a typed error or a documented `expect` invariant. Unit tests
 // (cfg(test)) are exempt; CI runs clippy on this lib with -D warnings,

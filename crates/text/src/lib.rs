@@ -18,6 +18,8 @@
 //!   existing synonym feeds \[10\]") that can boost positive
 //!   compatibility and suppress false conflicts.
 
+#![forbid(unsafe_code)]
+
 pub mod editdist;
 pub mod normalize;
 pub mod signature;

@@ -1,2 +1,4 @@
 //! Anchor target for the workspace-level `tests/` and `examples/`.
 //! All real code lives in `crates/`.
+
+#![forbid(unsafe_code)]
